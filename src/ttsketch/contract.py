@@ -6,11 +6,25 @@ structured variants below produce the same matrices for linear combinations,
 operator-vector products, and elementwise products without assembling the
 large intermediate train.
 
-Row layout of every W_k is block-major over the P sketch blocks.  The global
-1/sqrt(P) factor is applied exactly once, when W_1 is emitted.
-"""
+Layout.  A realized sketch keeps core k of all P blocks as one stacked
+array G_k of shape (P, l_k, n_k, l_{k+1}).  One right-to-left sweep carries
+w_k of shape (P, l_k, chi_k) and emits W_k = w_k.reshape(P * l_k, chi_k),
+so the rows of every W_k are block-major over the P sketch blocks.  The
+global 1/sqrt(P) factor is applied exactly once, when W_1 is emitted.
 
-import string
+Contraction order.  Each core's step is a fixed sequence of matmuls batched
+over the P blocks, chosen by its local operator:
+
+* a train core X_k: contract w with X_k, then with G_k;
+* an operator core and a train core (H_k, X_k): contract w with X_k, then
+  with H_k, then with G_k; the combined bond is operator bond major;
+* Hadamard factor cores [X_k^1, ..., X_k^J]: contract w with G_k first,
+  then each factor as a matmul batched over the shared mode index, which is
+  summed out last.
+
+``left_partial_contractions`` is the mirror-image sweep from the left for a
+single chain: two matmuls per core.
+"""
 
 import numpy as np
 
@@ -41,34 +55,75 @@ class PartialSketchSet:
             raise ValueError("train has non-scalar left boundary rank")
         return w1[:, 0]
 
+    @classmethod
+    def combine(cls, sets, coefficients):
+        """Partial sketches of sum(alpha_j * x_j) from those of each x_j.
 
-def _block_partials(block_cores, x_cores):
-    """Right-to-left recursion for one sketch block; returns [W_1..W_d]."""
-    d = len(x_cores)
-    w = np.ones((1, 1), dtype=np.result_type(block_cores[-1].dtype, x_cores[-1].dtype))
-    out = [None] * d
-    for k in range(d - 1, -1, -1):
-        w = np.einsum("bik,ka,cia->bc", block_cores[k], w, x_cores[k])
-        out[k] = w
-    return out
+        Column layout for k >= 2 matches the block structure of the exact
+        linear-combination train: term blocks in order, coefficients folded
+        in.
+        """
+        ws = [sum(a * ps.Ws[0] for a, ps in zip(coefficients, sets))]
+        for k in range(1, sets[0].d):
+            ws.append(np.concatenate([a * ps.Ws[k] for a, ps in zip(coefficients, sets)], axis=1))
+        return cls(ws, sets[0].spec, sets[0].scale)
 
 
-def _stack(per_block, scale_first, scale):
-    d = len(per_block[0])
-    ws = [np.concatenate([pb[k] for pb in per_block], axis=0) for k in range(d)]
-    if scale_first:
-        ws[0] = scale * ws[0]
-    return ws
+def _step(g, w, op):
+    """One core of the right-to-left sweep.
+
+    ``g`` is the stacked sketch core (P, l, n, l'), ``w`` the carried
+    partial (P, l', chi') and ``op`` the local operator of this core; the
+    result is (P, l, chi).  Each case contracts in a fixed order of
+    batched matmuls.
+    """
+    p, l, n, lr = g.shape
+    if isinstance(op, tuple):
+        # (operator core (a, n, m, A), train core (c, m, C)); chi' = A C.
+        h, x = op
+        a, _, m, ar = h.shape
+        c, _, cr = x.shape
+        t = w.reshape(p * lr * ar, cr) @ x.reshape(c * m, cr).T
+        t = t.reshape(p, lr, ar, c, m).transpose(0, 1, 3, 4, 2).reshape(p * lr * c, m * ar)
+        t = t @ h.reshape(a * n, m * ar).T
+        t = t.reshape(p, lr, c, a, n).transpose(0, 4, 1, 3, 2).reshape(p, n * lr, a * c)
+        return g.reshape(p, l, n * lr) @ t
+    if isinstance(op, list):
+        # Hadamard factor cores (a_j, n, A_j); chi' = A_1 ... A_J.  The
+        # sketch goes first, then each factor as a matmul batched over the
+        # mode index, which is summed out last.
+        t = g.transpose(2, 0, 1, 3) @ w
+        lead, rest = p * l, w.shape[2]
+        for f in op:
+            a, _, ar = f.shape
+            rest //= ar
+            t = f.transpose(1, 0, 2)[:, None] @ t.reshape(n, lead, ar, rest)
+            lead *= a
+        return t.sum(axis=0).reshape(p, l, -1)
+    # train core (c, n, a); chi' = a.
+    c = op.shape[0]
+    t = op.reshape(c * n, -1) @ w.transpose(0, 2, 1)
+    return g.reshape(p, l, n * lr) @ t.reshape(p, c, n * lr).transpose(0, 2, 1)
+
+
+def _sweep(sk, ops):
+    """W_1..W_d of one sketch against per-core local operators."""
+    w = np.ones((sk.cores[0].shape[0], 1, 1), dtype=sk.cores[0].dtype)
+    ws = [None] * len(ops)
+    for k in range(len(ops) - 1, -1, -1):
+        w = _step(sk.cores[k], w, ops[k])
+        ws[k] = w.reshape(-1, w.shape[2])
+    ws[0] = sk.scale * ws[0]
+    return PartialSketchSet(ws, sk.spec, sk.scale)
 
 
 def partial_contractions(sk, x):
-    """All partial sketches of a train; per-block and stacked block-major."""
+    """All partial sketches of a train, stacked block-major."""
     if sk.spec.dims != x.dims:
         raise ValueError("sketch dims do not match train dims")
     if x.ranks[-1] != 1:
         raise ValueError("right boundary rank must be 1")
-    per_block = [_block_partials(sk.blocks[j], x.cores) for j in range(sk.n_blocks)]
-    return PartialSketchSet(_stack(per_block, True, sk.scale), sk.spec, sk.scale)
+    return _sweep(sk, x.cores)
 
 
 def left_gaussian_chain(dims, bonds, field, seed, stream=STREAM_STTA_LEFT):
@@ -89,34 +144,22 @@ def left_gaussian_chain(dims, bonds, field, seed, stream=STREAM_STTA_LEFT):
 
 def left_partial_contractions(chain_cores, x):
     """Left-to-right analogue: V_k pairs modes 1..k of chain and train."""
-    v = np.ones((1, 1), dtype=np.result_type(chain_cores[0].dtype, x.cores[0].dtype))
+    v = np.ones((1, 1), dtype=chain_cores[0].dtype)
     out = []
     for a_core, x_core in zip(chain_cores, x.cores):
-        v = np.einsum("bia,bc,cid->ad", a_core, v, x_core)
+        b, n, a = a_core.shape
+        c, _, e = x_core.shape
+        t = (v @ x_core.reshape(c, n * e)).reshape(b * n, e)
+        v = a_core.reshape(b * n, a).T @ t
         out.append(v)
     return out
 
 
 def sketch_linear_combination(sk, terms, coefficients):
-    """Partial sketches of sum(alpha_j * terms[j]) from per-term sketches.
-
-    Column layout for k >= 2 matches the block structure of the exact
-    linear-combination train: term blocks in order, coefficients folded in.
-    """
+    """Partial sketches of sum(alpha_j * terms[j]) from per-term sketches."""
     if len(terms) != len(coefficients):
         raise ValueError("need one coefficient per term")
-    per_term = [partial_contractions(sk, t) for t in terms]
-    d = per_term[0].d
-    ws = []
-    for k in range(d):
-        if k == 0:
-            w = sum(a * ps.Ws[0] for a, ps in zip(coefficients, per_term))
-        else:
-            w = np.concatenate(
-                [a * ps.Ws[k] for a, ps in zip(coefficients, per_term)], axis=1
-            )
-        ws.append(w)
-    return PartialSketchSet(ws, sk.spec, sk.scale)
+    return PartialSketchSet.combine([partial_contractions(sk, t) for t in terms], coefficients)
 
 
 def sketch_matvec(sk, h, x):
@@ -129,17 +172,7 @@ def sketch_matvec(sk, h, x):
         raise ValueError("sketch dims do not match operator output dims")
     if h.dims_in != x.dims:
         raise ValueError("operator input dims do not match train dims")
-    d = x.d
-    per_block = []
-    for j in range(sk.n_blocks):
-        g = sk.blocks[j]
-        w = np.ones((1, 1, 1), dtype=np.result_type(g[-1].dtype, h.cores[-1].dtype, x.cores[-1].dtype))
-        out = [None] * d
-        for k in range(d - 1, -1, -1):
-            w = np.einsum("biB,BAC,aijA,cjC->bac", g[k], w, h.cores[k], x.cores[k])
-            out[k] = w.reshape(w.shape[0], w.shape[1] * w.shape[2])
-        per_block.append(out)
-    return PartialSketchSet(_stack(per_block, True, sk.scale), sk.spec, sk.scale)
+    return _sweep(sk, list(zip(h.cores, x.cores)))
 
 
 def sketch_hadamard(sk, terms):
@@ -156,22 +189,4 @@ def sketch_hadamard(sk, terms):
             raise ValueError("mode dimension mismatch in product")
     if sk.spec.dims != dims:
         raise ValueError("sketch dims do not match train dims")
-    d = len(dims)
-    nt = len(terms)
-    letters = string.ascii_lowercase
-    # einsum: g[b,i,B], w[B, A1..AJ], core_j[a_j, i, A_j] -> out[b, a1..aJ]
-    g_sub = "zi" + "Z"
-    w_sub = "Z" + letters[nt:2 * nt].upper()
-    term_subs = [letters[j] + "i" + letters[nt + j].upper() for j in range(nt)]
-    out_sub = "z" + letters[:nt]
-    eq = ",".join([g_sub, w_sub] + term_subs) + "->" + out_sub
-    per_block = []
-    for j in range(sk.n_blocks):
-        g = sk.blocks[j]
-        w = np.ones((1,) * (nt + 1), dtype=np.result_type(g[-1].dtype, *(t.cores[-1].dtype for t in terms)))
-        out = [None] * d
-        for k in range(d - 1, -1, -1):
-            w = np.einsum(eq, g[k], w, *(t.cores[k] for t in terms))
-            out[k] = w.reshape(w.shape[0], -1)
-        per_block.append(out)
-    return PartialSketchSet(_stack(per_block, True, sk.scale), sk.spec, sk.scale)
+    return _sweep(sk, [list(cores) for cores in zip(*(t.cores for t in terms))])

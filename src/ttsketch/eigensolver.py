@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .contract import partial_contractions, sketch_matvec
+from .contract import PartialSketchSet, partial_contractions, sketch_matvec
 from .rounding import tt_rand_round, tt_round
 from .sketch import SketchSpec, make_sketch
 from .tt import (
@@ -108,21 +108,6 @@ class RayleighRitzConfig:
     history: list = dc_field(default_factory=list)
 
 
-def _combined_partials(ps_terms, coefficients):
-    """Stack per-term partial sketches to match the combined train cores."""
-    d = ps_terms[0].d
-    ws = []
-    for k in range(d):
-        if k == 0:
-            ws.append(sum(a * ps.Ws[0] for a, ps in zip(coefficients, ps_terms)))
-        else:
-            ws.append(np.concatenate(
-                [a * ps.Ws[k] for a, ps in zip(coefficients, ps_terms)], axis=1))
-    first = ps_terms[0]
-    out = type(first)(ws, first.spec, first.scale)
-    return out
-
-
 def ritz_solve(c, d_mat):
     """Eigenpairs of pinv(C) D through a QR factorization of C.
 
@@ -197,7 +182,7 @@ def sketched_rayleigh_ritz(h, cfg=None):
             terms = [hb] + basis
             coeffs = [1.0] + [-a for a in alpha]
             comb = tt_linear_combination(terms, coeffs)
-            ps_comb = _combined_partials([ps_h] + ps_b, coeffs)
+            ps_comb = PartialSketchSet.combine([ps_h] + ps_b, coeffs)
             vj = tt_rand_round(comb, ranks, partials=ps_comb)
             vj = tt_round(vj, ranks)
             ps_v = partial_contractions(sk, vj)

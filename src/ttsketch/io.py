@@ -42,23 +42,30 @@ def write_tt(path, x):
                 f.write(a.astype("<f8").tobytes())
 
 
+def _unpack_header(fmt, data, off):
+    """Header fields at ``off``, or ValueError if the file ends first."""
+    if off + struct.calcsize(fmt) > len(data):
+        raise ValueError("truncated header")
+    return struct.unpack_from(fmt, data, off)
+
+
 def read_tt(path):
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != MAGIC:
         raise ValueError("bad magic, not a TTF1 file")
     off = 4
-    (field_flag,) = struct.unpack_from("<B", data, off)
+    (field_flag,) = _unpack_header("<B", data, off)
     off += 1
     if field_flag not in (0, 1):
         raise ValueError("bad field flag %d" % field_flag)
-    (d,) = struct.unpack_from("<I", data, off)
+    (d,) = _unpack_header("<I", data, off)
     off += 4
     if d == 0:
         raise ValueError("empty train")
-    dims = struct.unpack_from("<%dI" % d, data, off)
+    dims = _unpack_header("<%dI" % d, data, off)
     off += 4 * d
-    ranks = struct.unpack_from("<%dI" % (d + 1), data, off)
+    ranks = _unpack_header("<%dI" % (d + 1), data, off)
     off += 4 * (d + 1)
     cores = []
     per_entry = 16 if field_flag else 8

@@ -195,9 +195,21 @@ def _block_cores(spec, j):
 
 @dataclass
 class RealizedSketch:
+    """The realized cores of a sketch, stacked over its blocks.
+
+    ``cores[k]`` has shape (P, l_k, n_k, l_{k+1}): every variant draws
+    blocks of one common shape.  ``blocks[j][k]`` is a view of
+    ``cores[k][j]``, so both layouts share one copy of the draws.
+    """
+
     spec: SketchSpec
     blocks: list = dc_field(repr=False, default=None)
     scale: float = 1.0
+    cores: list = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.cores = [np.stack(per_core) for per_core in zip(*self.blocks)]
+        self.blocks = [[c[j] for c in self.cores] for j in range(len(self.blocks))]
 
     @property
     def rows(self):

@@ -24,8 +24,25 @@ from ttsketch.tt import (
 DIMS = (2, 3, 2, 2)
 
 
+# One spec per sketch variant; the stacked sweep must agree on each layout.
+SKETCHES = [
+    pytest.param("tts", dict(P=3, R=2), id="tts"),
+    pytest.param("otts", dict(P=2, R=3), id="otts"),
+    pytest.param("khatri_rao", dict(P=5, R=1), id="khatri_rao"),
+    pytest.param("gaussian_tt", dict(P=1, R=4, ranks=(4, 3, 2, 2, 1)), id="gaussian_tt"),
+    pytest.param("f_tt_r", dict(P=3, R=2), id="f_tt_r"),
+]
+
+
 def tt(seed, ranks=(1, 2, 3, 2, 1), dims=DIMS, field="real"):
     return tt_random(dims, ranks, field=field, seed=seed)
+
+
+def gaussian(rng, shape, field):
+    g = rng.standard_normal(shape)
+    if field == "complex":
+        g = g + 1j * rng.standard_normal(shape)
+    return g
 
 
 @pytest.mark.parametrize(
@@ -47,9 +64,10 @@ def test_w1_matches_dense_sketch(variant, kw, field):
     assert rel_err(got, expect) < 1e-12
 
 
-def test_partial_invariant_every_cut():
+@pytest.mark.parametrize("variant,kw", SKETCHES)
+def test_partial_invariant_every_cut(variant, kw):
     # W_k equals the unfolded tail sketch times the unfolded tail train
-    spec = SketchSpec("tts", DIMS, P=2, R=3, seed=5)
+    spec = SketchSpec(variant, DIMS, seed=5, **kw)
     sk = make_sketch(spec)
     x = tt(21)
     ps = partial_contractions(sk, x)
@@ -108,15 +126,17 @@ def test_linear_combination_matches_assembled(field):
         assert rel_err(a, b) < 1e-12
 
 
-def test_matvec_matches_assembled(rng):
+@pytest.mark.parametrize("variant,kw", SKETCHES)
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_matvec_matches_assembled(rng, field, variant, kw):
     h = TTOperator([
-        rng.standard_normal((1, 2, 2, 3)),
-        rng.standard_normal((3, 3, 3, 2)),
-        rng.standard_normal((2, 2, 2, 2)),
-        rng.standard_normal((2, 2, 2, 1)),
+        gaussian(rng, (1, 2, 2, 3), field),
+        gaussian(rng, (3, 3, 3, 2), field),
+        gaussian(rng, (2, 2, 2, 2), field),
+        gaussian(rng, (2, 2, 2, 1), field),
     ])
-    x = tt(41)
-    sk = make_sketch(SketchSpec("tts", DIMS, P=2, R=2, seed=6))
+    x = tt(41, field=field)
+    sk = make_sketch(SketchSpec(variant, DIMS, seed=6, field=field, **kw))
     ps = sketch_matvec(sk, h, x)
     assembled = partial_contractions(sk, tto_apply_assemble(h, x))
     for a, b in zip(ps.Ws, assembled.Ws):
@@ -128,9 +148,11 @@ def test_matvec_matches_assembled(rng):
 
 
 @pytest.mark.parametrize("nterms", [2, 3])
-def test_hadamard_matches_assembled(nterms):
-    sk = make_sketch(SketchSpec("tts", DIMS, P=2, R=2, seed=8))
-    terms = [tt(50 + i, (1, 2, 2, 2, 1)) for i in range(nterms)]
+@pytest.mark.parametrize("variant,kw", SKETCHES)
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_hadamard_matches_assembled(field, variant, kw, nterms):
+    sk = make_sketch(SketchSpec(variant, DIMS, seed=8, field=field, **kw))
+    terms = [tt(50 + i, (1, 2, 2, 2, 1), field=field) for i in range(nterms)]
     ps = sketch_hadamard(sk, terms)
     assembled = partial_contractions(sk, tt_hadamard_assemble(terms))
     for a, b in zip(ps.Ws, assembled.Ws):

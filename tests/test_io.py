@@ -33,6 +33,17 @@ def test_truncated_payload_rejected(tmp_path):
         ttio.read_tt(path)
 
 
+@pytest.mark.parametrize("cut", [4, 7, 12, 20])
+def test_truncated_header_rejected(tmp_path, cut):
+    # cut inside the field flag, d, dims and ranks fields in turn
+    x = tt_random((2, 3), (1, 2, 1), seed=2)
+    path = tmp_path / "x.ttf"
+    ttio.write_tt(path, x)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match="truncated header"):
+        ttio.read_tt(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     x = tt_random((2, 3), (1, 2, 1), seed=2)
     path = tmp_path / "x.ttf"
