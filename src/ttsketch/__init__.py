@@ -13,7 +13,6 @@ from .tt import (
     tto_apply_assemble,
     tt_random,
     tt_from_dense,
-    strong_kron,
     unfold,
 )
 from .sketch import SketchSpec, RealizedSketch, make_sketch, sketch_dense, block_tt_view

@@ -20,7 +20,6 @@ from . import analysis, io as ttio
 from .contract import partial_contractions, sketch_hadamard
 from .eigensolver import (
     RayleighRitzConfig,
-    estimate_true_residual,
     sketched_rayleigh_ritz,
     true_rayleigh_quotient,
     tto_heisenberg,
@@ -39,6 +38,7 @@ from .tt import (
     tt_norm,
     tt_random,
     tt_random_orthogonal_ranks,
+    tt_residual_norm,
     tt_scale,
     tto_dense,
 )
@@ -163,14 +163,14 @@ def run_round_synthetic(cfg, seed, out):
                 d, n, signal_rank, noise_rank, eps, seed * 1000003 + t)
             xn = tt_norm(x)
             det = tt_round(x, signal_rank)
-            err_det = tt_norm(tt_linear_combination([x, det], [1.0, -1.0])) / xn
+            err_det = tt_residual_norm(x, det) / xn
             rows.append([eps, 0, 0, t, "deterministic", err_det])
             for r_blk in r_list:
                 p_blk = max(pr // r_blk, 1)
                 spec = SketchSpec("tts", (n,) * d, P=p_blk, R=r_blk,
                                   seed=seed * 999983 + 31 * t + r_blk)
                 rnd = tt_rand_round(x, signal_rank, sk=make_sketch(spec))
-                err = tt_norm(tt_linear_combination([x, rnd], [1.0, -1.0])) / xn
+                err = tt_residual_norm(x, rnd) / xn
                 rows.append([eps, r_blk, p_blk, t, "randomized", err])
     _write_csv(
         os.path.join(out, "round_synthetic.csv"),
@@ -202,7 +202,7 @@ def run_hadamard(cfg, seed, out):
     t0 = time.perf_counter()
     det = tt_round(exact, target_rank)
     det_ms = (time.perf_counter() - t0) * 1000.0
-    err_det = tt_norm(tt_linear_combination([exact, det], [1.0, -1.0])) / xn
+    err_det = tt_residual_norm(exact, det) / xn
     rows.append([target_rank, 0, 0, 0, "deterministic", err_det, det_ms])
     for r_blk in r_list:
         p_blk = max(pr // r_blk, 1)
@@ -214,7 +214,7 @@ def run_hadamard(cfg, seed, out):
             ps = sketch_hadamard(sk, factors)
             rnd = tt_rand_round(exact, target_rank, partials=ps)
             ms = (time.perf_counter() - t0) * 1000.0
-            err = tt_norm(tt_linear_combination([exact, rnd], [1.0, -1.0])) / xn
+            err = tt_residual_norm(exact, rnd) / xn
             rows.append([target_rank, r_blk, p_blk, t, "randomized", err, ms])
     _write_csv(
         os.path.join(out, "hadamard.csv"),
@@ -232,13 +232,11 @@ def run_hadamard(cfg, seed, out):
 
 
 def run_eigensolve(cfg, seed, out, args=None):
-    model = (args.model if args and args.model else cfg.get("model", "tfim"))
-    d = int(args.d) if args and args.d else int(cfg.get("d", 10))
-    ranks = int(args.ranks) if args and args.ranks else int(cfg.get("ranks", 16))
-    P = int(args.P) if args and args.P else int(cfg.get("P", 4))
-    R = int(args.R) if args and args.R else int(cfg.get("R", 16))
-    m = int(args.m) if args and args.m else int(cfg.get("m", 10))
-    restarts = int(args.restarts) if args and args.restarts else int(cfg.get("restarts", 5))
+    if args is not None:
+        flags = ("model", "d", "ranks", "P", "R", "m", "restarts")
+        cfg = dict(cfg, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None})
+    model = cfg.get("model", "tfim")
+    d = int(cfg.get("d", 10))
     if model == "tfim":
         h = tto_tfim(d, J=float(cfg.get("J", 1.0)), g=float(cfg.get("g", 1.5)))
     elif model == "heisenberg":
@@ -249,8 +247,9 @@ def run_eigensolve(cfg, seed, out, args=None):
         )
     else:
         raise SystemExit("unknown model %r" % model)
-    rr = RayleighRitzConfig(ranks=ranks, m=m, max_restarts=restarts,
-                            P=P, R=R, seed=seed)
+    rr = RayleighRitzConfig(ranks=int(cfg.get("ranks", 16)), m=int(cfg.get("m", 10)),
+                            max_restarts=int(cfg.get("restarts", 5)),
+                            P=int(cfg.get("P", 4)), R=int(cfg.get("R", 16)), seed=seed)
     res = sketched_rayleigh_ritz(h, rr)
     rows = [
         [e["restart"], e["ranks"], e["value"], e["sketched_residual"]]

@@ -39,10 +39,8 @@ class PartialSketchSet:
     scale.
     """
 
-    def __init__(self, Ws, spec, scale):
+    def __init__(self, Ws):
         self.Ws = Ws
-        self.spec = spec
-        self.scale = scale
 
     @property
     def d(self):
@@ -66,7 +64,7 @@ class PartialSketchSet:
         ws = [sum(a * ps.Ws[0] for a, ps in zip(coefficients, sets))]
         for k in range(1, sets[0].d):
             ws.append(np.concatenate([a * ps.Ws[k] for a, ps in zip(coefficients, sets)], axis=1))
-        return cls(ws, sets[0].spec, sets[0].scale)
+        return cls(ws)
 
 
 def _step(g, w, op):
@@ -114,7 +112,7 @@ def _sweep(sk, ops):
         w = _step(sk.cores[k], w, ops[k])
         ws[k] = w.reshape(-1, w.shape[2])
     ws[0] = sk.scale * ws[0]
-    return PartialSketchSet(ws, sk.spec, sk.scale)
+    return PartialSketchSet(ws)
 
 
 def partial_contractions(sk, x):

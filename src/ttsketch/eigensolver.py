@@ -86,14 +86,6 @@ def tto_heisenberg(d, Jx=1.0, Jy=1.0, Jz=1.0, h=0.0):
     return _mpo_from_w(first, mid, last, d)
 
 
-def core_vertical_contraction(op_core, tt_core):
-    """One core of the operator-train product; combined bonds are row-major
-    with the operator bond major."""
-    c = np.einsum("aijb,cjd->acibd", op_core, tt_core)
-    s = c.shape
-    return c.reshape(s[0] * s[1], s[2], s[3] * s[4])
-
-
 @dataclass
 class RayleighRitzConfig:
     ranks: int = 16
@@ -161,42 +153,31 @@ def sketched_rayleigh_ritz(h, cfg=None):
     history = []
     best = None
     for restart in range(cfg.max_restarts):
-        basis = []
-        sb = []
-        shb = []
-        ps_b = []
-        v = v0
-        pv = partial_contractions(sk, v)
-        nv = np.linalg.norm(pv.vector())
-        basis.append(tt_scale(v, 1.0 / nv))
-        ps0 = partial_contractions(sk, basis[0])
-        ps_b.append(ps0)
-        sb.append(ps0.vector())
+        # A sketch is linear, so the sketches of x / ||S x|| are those of x
+        # scaled; each basis vector is swept once.
+        ps = partial_contractions(sk, v0)
+        nv = np.linalg.norm(ps.vector())
+        basis = [tt_scale(v0, 1.0 / nv)]
+        ps_b = [PartialSketchSet.combine([ps], [1.0 / nv])]
+        ps_h = []
         for _ in range(cfg.m - 1):
-            b_prev = basis[-1]
-            ps_h = sketch_matvec(sk, h, b_prev)
-            shb.append(ps_h.vector())
-            c_mat = np.stack(sb, axis=1)
-            alpha, *_ = np.linalg.lstsq(c_mat, shb[-1], rcond=None)
-            hb = tto_apply_assemble(h, b_prev)
-            terms = [hb] + basis
+            ps_h.append(sketch_matvec(sk, h, basis[-1]))
+            c_mat = np.stack([p.vector() for p in ps_b], axis=1)
+            alpha, *_ = np.linalg.lstsq(c_mat, ps_h[-1].vector(), rcond=None)
             coeffs = [1.0] + [-a for a in alpha]
-            comb = tt_linear_combination(terms, coeffs)
-            ps_comb = PartialSketchSet.combine([ps_h] + ps_b, coeffs)
+            comb = tt_linear_combination([tto_apply_assemble(h, basis[-1])] + basis, coeffs)
+            ps_comb = PartialSketchSet.combine([ps_h[-1]] + ps_b, coeffs)
             vj = tt_rand_round(comb, ranks, partials=ps_comb)
             vj = tt_round(vj, ranks)
-            ps_v = partial_contractions(sk, vj)
-            nv = np.linalg.norm(ps_v.vector())
+            ps = partial_contractions(sk, vj)
+            nv = np.linalg.norm(ps.vector())
             if nv < 1e-300:
                 break
-            b_new = tt_scale(vj, 1.0 / nv)
-            basis.append(b_new)
-            ps_new = partial_contractions(sk, b_new)
-            ps_b.append(ps_new)
-            sb.append(ps_new.vector())
-        shb.append(sketch_matvec(sk, h, basis[-1]).vector())
-        c_mat = np.stack(sb, axis=1)
-        d_mat = np.stack(shb, axis=1)
+            basis.append(tt_scale(vj, 1.0 / nv))
+            ps_b.append(PartialSketchSet.combine([ps], [1.0 / nv]))
+        ps_h.append(sketch_matvec(sk, h, basis[-1]))
+        c_mat = np.stack([p.vector() for p in ps_b], axis=1)
+        d_mat = np.stack([p.vector() for p in ps_h], axis=1)
         lam, y, res = ritz_solve(c_mat, d_mat)
         y0 = y[:, 0]
         if field == "real":

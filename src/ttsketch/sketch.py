@@ -33,6 +33,7 @@ import numpy as np
 from .tt import (
     STREAM_SKETCH,
     TensorTrain,
+    _block_diagonal_core,
     gaussian,
     rng_for,
     tt_dense,
@@ -254,28 +255,12 @@ def sketch_dense(sk, max_entries=2 ** 24):
 def block_tt_view(sk):
     """The whole sketch as one block tensor train (testing aid).
 
-    Interior cores are slice-wise block diagonal over blocks, the last core
-    stacks blocks vertically, and the global scale is folded into the first
-    core.  Its dense unfolding equals ``sketch_dense`` row for row.
+    Every core but the last is slice-wise block diagonal over blocks, the
+    last core stacks blocks vertically, and the global scale is folded into
+    the first core.  Its dense unfolding equals ``sketch_dense`` row for row.
     """
-    spec = sk.spec
-    d = len(spec.dims)
-    cores = []
-    for k in range(d):
-        blocks = [sk.blocks[j][k] for j in range(sk.n_blocks)]
-        if k == d - 1:
-            core = np.concatenate(blocks, axis=0)
-        else:
-            r1 = sum(b.shape[0] for b in blocks)
-            r2 = sum(b.shape[2] for b in blocks)
-            dtype = np.result_type(*(b.dtype for b in blocks))
-            core = np.zeros((r1, spec.dims[k], r2), dtype=dtype)
-            o1 = o2 = 0
-            for b in blocks:
-                core[o1:o1 + b.shape[0], :, o2:o2 + b.shape[2]] = b
-                o1 += b.shape[0]
-                o2 += b.shape[2]
-        if k == 0:
-            core = core * sk.scale
-        cores.append(core)
+    cores = [_block_diagonal_core(g, g.dtype) for g in sk.cores[:-1]]
+    g = sk.cores[-1]
+    cores.append(g.reshape(-1, *g.shape[2:]))
+    cores[0] = cores[0] * sk.scale
     return TensorTrain(cores)

@@ -39,10 +39,6 @@ def gaussian(rng, shape, field, scale=1.0):
     return scale * rng.standard_normal(shape)
 
 
-def field_of(dtype):
-    return "complex" if np.issubdtype(dtype, np.complexfloating) else "real"
-
-
 class TensorTrain:
     """Chain of order-3 cores; supports block boundary ranks."""
 
@@ -186,26 +182,6 @@ def core_unfold_right(c):
     return c.reshape(r1, n * r2)
 
 
-def strong_kron(a, b):
-    """Strong Kronecker product of two bond-carrying dense blocks.
-
-    Both arguments carry their bond as first/last axis; the shared bond is
-    summed.  With scalar bonds this reduces to the outer (Kronecker) product.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError("bond mismatch: %d != %d" % (a.shape[-1], b.shape[0]))
-    return np.tensordot(a, b, axes=(-1, 0))
-
-
-def tt_chain(a, b):
-    """Concatenate two trains along the bond (strong Kronecker of chains)."""
-    if a.ranks[-1] != b.ranks[0]:
-        raise ValueError("chain bond mismatch: %d != %d" % (a.ranks[-1], b.ranks[0]))
-    return TensorTrain(a.cores + b.cores)
-
-
 def tt_inner(x, y):
     """<x, y>, conjugate-linear in x.  Block boundary ranks must match."""
     if x.dims != y.dims:
@@ -223,6 +199,17 @@ def tt_inner(x, y):
 def tt_norm(x):
     v = tt_inner(x, x).real
     return float(np.sqrt(max(v, 0.0)))
+
+
+def tt_residual_norm(x, y):
+    """||x - y||, from the first core of the right-orthogonalized difference.
+
+    Accurate down to round-off relative to the norms of x and y, where
+    ``tt_norm`` of the difference, the square root of an inner product,
+    loses half the digits and can read exactly 0.
+    """
+    diff = tt_linear_combination([x, y], [1.0, -1.0])
+    return float(np.linalg.norm(tt_orthogonalize(diff, "right").cores[0]))
 
 
 def tt_scale(x, alpha):
@@ -270,6 +257,19 @@ def is_orthogonal(x, mode, atol=1e-10):
     return True
 
 
+def _block_diagonal_core(blocks, dtype):
+    """Core with the (r1_j, n, r2_j) blocks on its slice-wise diagonal."""
+    r1 = sum(b.shape[0] for b in blocks)
+    r2 = sum(b.shape[2] for b in blocks)
+    core = np.zeros((r1, blocks[0].shape[1], r2), dtype=dtype)
+    o1 = o2 = 0
+    for b in blocks:
+        core[o1:o1 + b.shape[0], :, o2:o2 + b.shape[2]] = b
+        o1 += b.shape[0]
+        o2 += b.shape[2]
+    return core
+
+
 def tt_linear_combination(terms, coefficients):
     """Exact block-structured sum of plain trains with matching dims.
 
@@ -293,25 +293,10 @@ def tt_linear_combination(terms, coefficients):
     if d == 1:
         c = sum(a * t.cores[0] for a, t in zip(coefficients, terms))
         return TensorTrain([np.asarray(c, dtype=dtype)])
-    cores = []
-    for k in range(d):
-        blocks = [t.cores[k] for t in terms]
-        if k == d - 1:
-            blocks = [a * b for a, b in zip(coefficients, blocks)]
-        if k == 0:
-            cores.append(np.concatenate(blocks, axis=2))
-        elif k == d - 1:
-            cores.append(np.concatenate(blocks, axis=0))
-        else:
-            r1 = sum(b.shape[0] for b in blocks)
-            r2 = sum(b.shape[2] for b in blocks)
-            core = np.zeros((r1, dims[k], r2), dtype=dtype)
-            o1 = o2 = 0
-            for b in blocks:
-                core[o1:o1 + b.shape[0], :, o2:o2 + b.shape[2]] = b
-                o1 += b.shape[0]
-                o2 += b.shape[2]
-            cores.append(core)
+    cores = [np.concatenate([t.cores[0] for t in terms], axis=2)]
+    for k in range(1, d - 1):
+        cores.append(_block_diagonal_core([t.cores[k] for t in terms], dtype))
+    cores.append(np.concatenate([a * t.cores[-1] for a, t in zip(coefficients, terms)], axis=0))
     return TensorTrain(cores)
 
 

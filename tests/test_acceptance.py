@@ -44,8 +44,8 @@ from ttsketch.tt import (
     tt_hadamard_assemble,
     tt_linear_combination,
     tt_norm,
-    tt_orthogonalize,
     tt_random,
+    tt_residual_norm,
     tt_scale,
     tto_apply_assemble,
     tto_dense,
@@ -62,8 +62,7 @@ def rel_err_orth(y, x, xn=None):
     cancellation floor of the inner-product norm."""
     if xn is None:
         xn = tt_norm(x)
-    diff = tt_linear_combination([y, x], [1.0, -1.0])
-    return float(np.linalg.norm(tt_orthogonalize(diff, "right").cores[0]) / xn)
+    return tt_residual_norm(y, x) / xn
 
 
 def test_criterion_01_otts_exact_orthogonality():

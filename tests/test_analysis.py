@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import oracle_entry
+from oracles import oracle_entry
 
 from ttsketch.analysis import (
     as_mask,

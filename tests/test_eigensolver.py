@@ -7,7 +7,6 @@ from ttsketch.eigensolver import (
     PAULI_Y,
     PAULI_Z,
     RayleighRitzConfig,
-    core_vertical_contraction,
     estimate_true_residual,
     ritz_solve,
     sketched_rayleigh_ritz,
@@ -20,7 +19,6 @@ from ttsketch.tt import (
     TensorTrain,
     tt_norm,
     tt_random,
-    tto_apply_assemble,
     tto_dense,
 )
 
@@ -79,17 +77,6 @@ def test_heisenberg_matches_dense_sum(d):
     op = tto_heisenberg(d, Jx=0.9, Jy=1.1, Jz=0.5, h=0.3)
     assert_allclose(tto_dense(op), dense_heisenberg(d, 0.9, 1.1, 0.5, 0.3),
                     atol=1e-12)
-
-
-def test_core_vertical_contraction_matches_apply():
-    d = 4
-    op = tto_tfim(d)
-    x = tt_random((2,) * d, (1, 2, 3, 2, 1), seed=0)
-    via_cores = TensorTrain(
-        [core_vertical_contraction(a, c) for a, c in zip(op.cores, x.cores)])
-    via_apply = tto_apply_assemble(op, x)
-    from ttsketch.tt import tt_dense
-    assert_allclose(tt_dense(via_cores), tt_dense(via_apply), atol=1e-12)
 
 
 def test_ritz_solve_known_pencil():

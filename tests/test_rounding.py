@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import oracle_vector, rel_err
+from oracles import oracle_vector, rel_err
 from ttsketch.rounding import (
     STTASketchPair,
     pinv_trunc,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import oracle_dense
+from oracles import oracle_dense
 from ttsketch.sketch import (
     SketchSpec,
     block_tt_view,

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import oracle_dense, oracle_entry, oracle_vector, rel_err
+from oracles import oracle_dense, oracle_entry, oracle_vector, rel_err
 from ttsketch.tt import (
     TensorTrain,
     TTOperator,
     core_unfold_left,
     core_unfold_right,
     is_orthogonal,
-    strong_kron,
-    tt_chain,
     tt_dense,
     tt_evaluate,
     tt_from_dense,
@@ -22,6 +20,7 @@ from ttsketch.tt import (
     tt_orthogonalize,
     tt_random,
     tt_random_orthogonal_ranks,
+    tt_residual_norm,
     tt_scale,
     tto_apply_assemble,
     tto_dense,
@@ -82,39 +81,16 @@ def test_unfold_row_major():
     assert m2[4, 1] == a[4 * 4 + 1]
 
 
-def test_strong_kron_matches_explicit_sum(rng):
-    a = rng.standard_normal((1, 2, 3))
-    b = rng.standard_normal((3, 4, 2))
-    c = strong_kron(a, b)
-    expect = np.einsum("iaj,jbk->iabk", a, b)
-    assert_allclose(c, expect, rtol=1e-14)
-
-
-def test_strong_kron_scalar_bonds_is_outer(rng):
-    a = rng.standard_normal((1, 3, 1))
-    b = rng.standard_normal((1, 4, 1))
-    c = strong_kron(a, b)
-    assert c.shape == (1, 3, 4, 1)
-    assert_allclose(c[0, :, :, 0], np.outer(a[0, :, 0], b[0, :, 0]), rtol=1e-14)
-
-
 def test_strong_kron_unfolding_identity(rng):
     # (A join B) first unfolding equals A^{<=1} (I kron B^{<=1})
     a = random_tt(rng, (2, 3), (2, 2, 3))
     b = random_tt(rng, (2, 2), (3, 2, 1))
-    joined = tt_chain(a, b)
+    joined = TensorTrain(a.cores + b.cores)
     lhs = oracle_dense(joined).reshape(2, -1)
     a_un = oracle_dense(a).reshape(2, 6 * 3)
     b_un = oracle_dense(b).reshape(3, 4)
     rhs = a_un @ np.kron(np.eye(6), b_un)
     assert_allclose(lhs, rhs, rtol=1e-12)
-
-
-def test_chain_bond_mismatch(rng):
-    a = random_tt(rng, (2,), (1, 1, 3))
-    b = random_tt(rng, (2,), (2, 2, 1))
-    with pytest.raises(ValueError, match="bond"):
-        tt_chain(a, b)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -123,6 +99,21 @@ def test_inner_matches_dense(rng, field):
     y = random_tt(rng, (2, 3, 2), (1, 3, 2, 1), field)
     expect = np.vdot(oracle_vector(x), oracle_vector(y))
     assert_allclose(tt_inner(x, y), expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dist", [1e-2, 1e-14])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_residual_norm_matches_dense(rng, field, dist):
+    # y = x + e exactly, so the oracle takes ||e|| without cancellation.  At
+    # dist = 1e-14 the inner-product norm of x - y reads 0 or ~1e-8 ||x||.
+    dims = (2, 3, 2, 3)
+    x = random_tt(rng, dims, (1, 2, 3, 2, 1), field)
+    e = random_tt(rng, dims, (1, 2, 2, 2, 1), field)
+    xn = np.linalg.norm(oracle_vector(x))
+    e = tt_scale(e, dist * xn / np.linalg.norm(oracle_vector(e)))
+    y = tt_linear_combination([x, e], [1.0, 1.0])
+    expect = np.linalg.norm(oracle_vector(e))
+    assert abs(tt_residual_norm(x, y) - expect) < 10 * np.finfo(float).eps * xn
 
 
 def test_inner_conjugate_linear_first_argument(rng):
