@@ -6,6 +6,7 @@ from .tt import (
     tt_dense,
     tto_dense,
     tt_inner,
+    tt_gram,
     tt_norm,
     tt_orthogonalize,
     tt_linear_combination,

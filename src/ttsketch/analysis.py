@@ -8,7 +8,7 @@ import numpy as np
 
 from .contract import partial_contractions
 from .sketch import SketchSpec, make_sketch, sketch_dense
-from .tt import STREAM_EXPERIMENT, gaussian, rng_for, tt_inner, tt_norm
+from .tt import STREAM_EXPERIMENT, gaussian, rng_for, tt_gram, tt_norm
 
 MAX_SUBSET_MODES = 16
 
@@ -278,11 +278,7 @@ def empirical_spectrum(basis, sk):
     """
     cols = [partial_contractions(sk, v).vector() for v in basis]
     m = np.stack(cols, axis=1)
-    r = len(basis)
-    gram = np.empty((r, r), dtype=m.dtype)
-    for i in range(r):
-        for j in range(r):
-            gram[i, j] = tt_inner(basis[i], basis[j])
+    gram = tt_gram(basis)
     w, u = np.linalg.eigh((gram + gram.conj().T) / 2)
     w = np.maximum(w, 0)
     if w[-1] == 0:

@@ -33,11 +33,11 @@ from .tt import (
     TensorTrain,
     rng_for,
     tt_dense,
+    tt_feasible_ranks,
     tt_hadamard_assemble,
     tt_linear_combination,
     tt_norm,
     tt_random,
-    tt_random_orthogonal_ranks,
     tt_residual_norm,
     tt_scale,
     tto_dense,
@@ -85,7 +85,7 @@ def _kron_basis(d, n, r, seed):
 
 def _tt_basis(d, n, r, rank, seed):
     dims = (n,) * d
-    caps = tt_random_orthogonal_ranks(dims, rank)
+    caps = tt_feasible_ranks(dims, rank)
     out = []
     for i in range(r):
         v = tt_random(dims, caps, seed=seed + i, stream=STREAM_EXPERIMENT)
@@ -138,10 +138,10 @@ def run_embed_quality(cfg, seed, out):
 def synthetic_lowrank_plus_noise(d, n, signal_rank, noise_rank, eps, seed):
     """Unit-norm rank-``signal_rank`` train plus eps times unit-norm noise."""
     dims = (n,) * d
-    sig = tt_random(dims, tt_random_orthogonal_ranks(dims, signal_rank),
+    sig = tt_random(dims, tt_feasible_ranks(dims, signal_rank),
                     seed=seed, stream=STREAM_EXPERIMENT)
     sig = tt_scale(sig, 1.0 / tt_norm(sig))
-    noise = tt_random(dims, tt_random_orthogonal_ranks(dims, noise_rank),
+    noise = tt_random(dims, tt_feasible_ranks(dims, noise_rank),
                       seed=seed + 10007, stream=STREAM_EXPERIMENT)
     noise = tt_scale(noise, eps / tt_norm(noise))
     return sig, tt_linear_combination([sig, noise], [1.0, 1.0])

@@ -21,14 +21,9 @@ over the P blocks, chosen by its local operator:
 * Hadamard factor cores [X_k^1, ..., X_k^J]: contract w with G_k first,
   then each factor as a matmul batched over the shared mode index, which is
   summed out last.
-
-``left_partial_contractions`` is the mirror-image sweep from the left for a
-single chain: two matmuls per core.
 """
 
 import numpy as np
-
-from .tt import STREAM_STTA_LEFT, gaussian, rng_for
 
 
 class PartialSketchSet:
@@ -122,35 +117,6 @@ def partial_contractions(sk, x):
     if x.ranks[-1] != 1:
         raise ValueError("right boundary rank must be 1")
     return _sweep(sk, x.cores)
-
-
-def left_gaussian_chain(dims, bonds, field, seed, stream=STREAM_STTA_LEFT):
-    """Left-to-right Gaussian chain: core k is (l_{k-1}, n_k, l_k), l_0 = 1.
-
-    Entry variance is one over the left bond, mirroring the right-oriented
-    Gaussian chains.
-    """
-    cores = []
-    for k in range(len(dims)):
-        rng = rng_for(seed, stream, 0, k)
-        var = 1.0 / bonds[k]
-        cores.append(
-            gaussian(rng, (bonds[k], dims[k], bonds[k + 1]), field, scale=np.sqrt(var))
-        )
-    return cores
-
-
-def left_partial_contractions(chain_cores, x):
-    """Left-to-right analogue: V_k pairs modes 1..k of chain and train."""
-    v = np.ones((1, 1), dtype=chain_cores[0].dtype)
-    out = []
-    for a_core, x_core in zip(chain_cores, x.cores):
-        b, n, a = a_core.shape
-        c, _, e = x_core.shape
-        t = (v @ x_core.reshape(c, n * e)).reshape(b * n, e)
-        v = a_core.reshape(b * n, a).T @ t
-        out.append(v)
-    return out
 
 
 def sketch_linear_combination(sk, terms, coefficients):

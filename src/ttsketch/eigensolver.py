@@ -16,11 +16,11 @@ from .sketch import SketchSpec, make_sketch
 from .tt import (
     STREAM_EXPERIMENT,
     TTOperator,
+    tt_feasible_ranks,
     tt_inner,
     tt_linear_combination,
     tt_norm,
     tt_random,
-    tt_random_orthogonal_ranks,
     tt_scale,
     tto_apply_assemble,
 )
@@ -147,7 +147,7 @@ def sketched_rayleigh_ritz(h, cfg=None):
     spec = SketchSpec(cfg.variant, dims, P=cfg.P, R=cfg.R, field=field, seed=cfg.seed)
     sk = make_sketch(spec)
     ranks = cfg.ranks
-    caps = tt_random_orthogonal_ranks(dims, ranks)
+    caps = tt_feasible_ranks(dims, ranks)
     v0 = tt_random(dims, caps, field=field, seed=cfg.seed, stream=STREAM_EXPERIMENT)
     v0 = tt_scale(v0, 1.0 / tt_norm(v0))
     history = []

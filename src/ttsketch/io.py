@@ -32,14 +32,7 @@ def write_tt(path, x):
         f.write(struct.pack("<%dI" % x.d, *x.dims))
         f.write(struct.pack("<%dI" % (x.d + 1), *x.ranks))
         for c in x.cores:
-            a = np.ascontiguousarray(c)
-            if field_flag:
-                buf = np.empty(a.shape + (2,))
-                buf[..., 0] = a.real
-                buf[..., 1] = a.imag
-                f.write(buf.astype("<f8").tobytes())
-            else:
-                f.write(a.astype("<f8").tobytes())
+            f.write(c.astype("<c16" if field_flag else "<f8").tobytes())
 
 
 def _unpack_header(fmt, data, off):
@@ -68,19 +61,13 @@ def read_tt(path):
     ranks = _unpack_header("<%dI" % (d + 1), data, off)
     off += 4 * (d + 1)
     cores = []
-    per_entry = 16 if field_flag else 8
+    dtype = np.dtype("<c16" if field_flag else "<f8")
     for k in range(d):
         count = ranks[k] * dims[k] * ranks[k + 1]
-        nbytes = count * per_entry
-        if off + nbytes > len(data):
+        if off + count * dtype.itemsize > len(data):
             raise ValueError("truncated core payload at core %d" % k)
-        raw = np.frombuffer(data, dtype="<f8", count=count * (2 if field_flag else 1), offset=off)
-        off += nbytes
-        if field_flag:
-            raw = raw.reshape(-1, 2)
-            c = raw[:, 0] + 1j * raw[:, 1]
-        else:
-            c = raw
+        c = np.frombuffer(data, dtype=dtype, count=count, offset=off)
+        off += count * dtype.itemsize
         cores.append(c.reshape(ranks[k], dims[k], ranks[k + 1]))
     if off != len(data):
         raise ValueError("trailing bytes after last core")

@@ -14,13 +14,9 @@ Three routes:
 
 import numpy as np
 
-from .contract import (
-    left_gaussian_chain,
-    left_partial_contractions,
-    partial_contractions,
-)
+from .contract import partial_contractions
 from .sketch import SketchSpec, make_sketch
-from .tt import TensorTrain, tt_orthogonalize
+from .tt import STREAM_STTA_LEFT, TensorTrain, _left_sweep, gaussian, rng_for, tt_orthogonalize
 
 
 def _rank_list(ranks, d):
@@ -124,6 +120,22 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     return TensorTrain(out)
 
 
+def left_gaussian_chain(dims, bonds, field, seed, stream=STREAM_STTA_LEFT):
+    """Left-to-right Gaussian chain: core k is (l_{k-1}, n_k, l_k), l_0 = 1.
+
+    Entry variance is one over the left bond, mirroring the right-oriented
+    Gaussian chains.
+    """
+    cores = []
+    for k in range(len(dims)):
+        rng = rng_for(seed, stream, 0, k)
+        var = 1.0 / bonds[k]
+        cores.append(
+            gaussian(rng, (bonds[k], dims[k], bonds[k + 1]), field, scale=np.sqrt(var))
+        )
+    return cores
+
+
 class STTASketchPair:
     """Shared left/right sketches for streaming truncation."""
 
@@ -154,26 +166,21 @@ def stta_streams(x, sketches):
 
     S_k pairs the left sketch of modes 1..k with the right sketch of modes
     k+1..d through x; Z_k leaves mode k open.  The last mode has no right
-    sketch; its S is the scalar full contraction, kept only so the streams
-    stay linear, and assembly treats it as an identity.
+    sketch and is paired with a 1x1 ones partial instead: its S is the
+    scalar full contraction, kept only so the streams stay linear, and
+    assembly treats it as an identity.
     """
     if x.dims != sketches.dims:
         raise ValueError("sketch dims do not match train dims")
-    d = x.d
-    lam = left_partial_contractions(sketches.left_cores, x)
-    ws = partial_contractions(sketches.right, x).Ws
-    lam = [np.ones((1, 1))] + lam  # lam[k] pairs modes 1..k
+    one = np.ones((1, 1))
+    lam = [one] + _left_sweep(sketches.left_cores, x.cores, one)  # lam[k] pairs modes 1..k
+    ws = partial_contractions(sketches.right, x).Ws[1:] + [one]  # ws[k] pairs modes k+2..d
     streams = []
-    for k in range(1, d + 1):
-        xk = x.cores[k - 1]
-        if k < d:
-            w_next = ws[k]  # right sketch of modes k+1..d
-            s = lam[k] @ w_next.T
-            z = np.einsum("ba,aic,dc->bid", lam[k - 1], xk, w_next)
-        else:
-            s = lam[k]
-            z = np.einsum("ba,aic->bic", lam[k - 1], xk)
-        streams.append((s, z))
+    for k, xk in enumerate(x.cores):
+        r1, n, r2 = xk.shape
+        s = lam[k + 1] @ ws[k].T
+        z = (lam[k] @ xk.reshape(r1, n * r2)).reshape(-1, r2) @ ws[k].T
+        streams.append((s, z.reshape(lam[k].shape[0], n, -1)))
     return streams
 
 

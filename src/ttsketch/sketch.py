@@ -42,6 +42,10 @@ from .tt import (
 VARIANTS = ("tts", "otts", "khatri_rao", "gaussian_tt", "f_tt_r")
 KR_BASES = ("gaussian", "rademacher", "spherical")
 
+# JSON type of each SketchSpec field; the lists hold integers.
+_JSON_TYPES = {"variant": str, "dims": list, "P": int, "R": int, "field": str,
+               "seed": int, "base": str, "ranks": list}
+
 
 @dataclass
 class SketchSpec:
@@ -69,6 +73,8 @@ class SketchSpec:
             raise ValueError("dims must be positive")
         if self.P < 1 or self.R < 1:
             raise ValueError("P and R must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.variant == "khatri_rao":
             if self.R != 1:
                 raise ValueError("khatri_rao requires R = 1")
@@ -132,16 +138,20 @@ class SketchSpec:
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls(
-            variant=obj["variant"],
-            dims=tuple(obj["dims"]),
-            P=int(obj.get("P", 1)),
-            R=int(obj.get("R", 1)),
-            field=obj.get("field", "real"),
-            seed=int(obj.get("seed", 0)),
-            base=obj.get("base", "gaussian"),
-            ranks=tuple(obj["ranks"]) if "ranks" in obj else None,
-        )
+        """Spec from a parsed JSON object; ValueError names a missing or bad key."""
+        if not isinstance(obj, dict):
+            raise ValueError("sketch spec must be a JSON object")
+        for key in ("variant", "dims"):
+            if key not in obj:
+                raise ValueError("sketch spec has no %r" % key)
+        kwargs = {k: obj[k] for k in _JSON_TYPES if k in obj}
+        for key, v in kwargs.items():
+            kind = int if _JSON_TYPES[key] is list else _JSON_TYPES[key]
+            items = v if isinstance(v, list) else [v]
+            if not isinstance(v, _JSON_TYPES[key]) or any(
+                    isinstance(u, bool) or not isinstance(u, kind) for u in items):
+                raise ValueError("sketch spec %r has a bad value: %r" % (key, v))
+        return cls(**kwargs)
 
     def to_json(self):
         return json.dumps(self.to_json_obj())

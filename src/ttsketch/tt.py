@@ -26,8 +26,12 @@ def rng_for(seed, stream, *path):
 
     Distinct paths give statistically independent streams, so parallel or
     out-of-order realization of sketch blocks/cores cannot change results.
+    Negative seeds are rejected; only the low 32 bits of a seed are used.
     """
-    key = [int(seed) & 0xFFFFFFFF, int(stream)] + [int(p) for p in path]
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("seed must be non-negative, got %d" % seed)
+    key = [seed & 0xFFFFFFFF, int(stream)] + [int(p) for p in path]
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
@@ -182,18 +186,40 @@ def core_unfold_right(c):
     return c.reshape(r1, n * r2)
 
 
+def _left_sweep(a_cores, b_cores, m):
+    """Pairings of two chains after each core, swept from the left.
+
+    ``m`` (ra_0, rb_0) pairs the left bonds; entry k of the result pairs the
+    chains over modes 1..k+1.  Neither chain is conjugated here.
+    """
+    out = []
+    for a, b in zip(a_cores, b_cores):
+        rb, n, rbr = b.shape
+        t = (m @ b.reshape(rb, n * rbr)).reshape(a.shape[0], n, rbr)
+        m = np.einsum("xnc,xne->ce", a, t)
+        out.append(m)
+    return out
+
+
 def tt_inner(x, y):
     """<x, y>, conjugate-linear in x.  Block boundary ranks must match."""
     if x.dims != y.dims:
         raise ValueError("mode dimension mismatch")
     if x.ranks[0] != y.ranks[0] or x.ranks[-1] != y.ranks[-1]:
         raise ValueError("boundary rank mismatch")
-    r0 = x.ranks[0]
-    m = np.eye(r0, dtype=complex if x.field == "complex" or y.field == "complex" else float)
-    for cx, cy in zip(x.cores, y.cores):
-        # m[a, b] carries the contraction of all finished modes.
-        m = np.einsum("ab,aic,bid->cd", m, cx.conj(), cy)
+    m = _left_sweep([c.conj() for c in x.cores], y.cores, np.eye(x.ranks[0]))[-1]
     return np.trace(m)
+
+
+def tt_gram(trains):
+    """G[i, j] = <trains[i], trains[j]>: one sweep of the stacked trains,
+    whose first cores are concatenated and other cores block diagonal."""
+    dims = _common_dims(trains, "Gram")
+    dtype = np.result_type(*(c.dtype for t in trains for c in t.cores))
+    cores = [np.concatenate([t.cores[0] for t in trains], axis=2)]
+    for k in range(1, len(dims)):
+        cores.append(_block_diagonal_core([t.cores[k] for t in trains], dtype))
+    return _left_sweep([c.conj() for c in cores], cores, np.ones((1, 1)))[-1]
 
 
 def tt_norm(x):
@@ -257,6 +283,19 @@ def is_orthogonal(x, mode, atol=1e-10):
     return True
 
 
+def _common_dims(trains, what):
+    """The dims of a non-empty list of plain trains that share them."""
+    if not trains:
+        raise ValueError("empty " + what)
+    dims = trains[0].dims
+    for t in trains:
+        if t.dims != dims:
+            raise ValueError("mode dimension mismatch in " + what)
+        if t.is_block:
+            raise ValueError("block trains not supported in " + what)
+    return dims
+
+
 def _block_diagonal_core(blocks, dtype):
     """Core with the (r1_j, n, r2_j) blocks on its slice-wise diagonal."""
     r1 = sum(b.shape[0] for b in blocks)
@@ -278,14 +317,7 @@ def tt_linear_combination(terms, coefficients):
     """
     if len(terms) != len(coefficients):
         raise ValueError("need one coefficient per term")
-    if not terms:
-        raise ValueError("empty sum")
-    dims = terms[0].dims
-    for t in terms:
-        if t.dims != dims:
-            raise ValueError("mode dimension mismatch in sum")
-        if t.is_block:
-            raise ValueError("block trains not supported in linear combinations")
+    dims = _common_dims(terms, "sum")
     if len(terms) == 1:
         return tt_scale(terms[0], coefficients[0])
     d = len(dims)
@@ -302,14 +334,7 @@ def tt_linear_combination(terms, coefficients):
 
 def tt_hadamard_assemble(terms):
     """Elementwise product of plain trains; ranks multiply."""
-    if not terms:
-        raise ValueError("empty product")
-    dims = terms[0].dims
-    for t in terms:
-        if t.dims != dims:
-            raise ValueError("mode dimension mismatch in product")
-        if t.is_block:
-            raise ValueError("block trains not supported in elementwise products")
+    _common_dims(terms, "product")
     out = terms[0]
     for t in terms[1:]:
         cores = []
@@ -360,7 +385,7 @@ def tt_random(dims, ranks, field="real", seed=0, stream=STREAM_TT):
     return TensorTrain(cores)
 
 
-def tt_random_orthogonal_ranks(dims, r):
+def tt_feasible_ranks(dims, r):
     """Largest representable ranks <= r for the given dims (plain train)."""
     dims = tuple(dims)
     d = len(dims)

@@ -4,8 +4,6 @@ from numpy.testing import assert_allclose
 
 from oracles import oracle_dense, oracle_vector, rel_err
 from ttsketch.contract import (
-    left_gaussian_chain,
-    left_partial_contractions,
     partial_contractions,
     sketch_hadamard,
     sketch_linear_combination,
@@ -161,15 +159,3 @@ def test_hadamard_matches_assembled(field, variant, kw, nterms):
     for a, b in zip(ps.Ws, assembled.Ws):
         assert rel_err(a, b) < 1e-12
 
-
-def test_left_partial_contractions_invariant():
-    x = tt(61)
-    chain = left_gaussian_chain(DIMS, [1, 2, 3, 2, 1], "real", seed=4)
-    vs = left_partial_contractions(chain, x)
-    for k in range(1, len(DIMS) + 1):
-        g_head = oracle_dense(TensorTrain(chain[:k]))
-        x_head = oracle_dense(TensorTrain(x.cores[:k]))
-        g_head = g_head.reshape(-1, chain[k - 1].shape[2])
-        x_head = x_head.reshape(-1, x.cores[k - 1].shape[2])
-        expect = g_head.T @ x_head
-        assert rel_err(vs[k - 1], expect) < 1e-12

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttsketch import io as ttio
-from ttsketch.tt import tt_random
+from ttsketch.tt import TensorTrain, tt_random
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -14,6 +17,17 @@ def test_binary_roundtrip(tmp_path, field):
     assert y.dims == x.dims and y.ranks == x.ranks and y.field == field
     for a, b in zip(x.cores, y.cores):
         assert np.array_equal(a, b)
+
+
+def test_complex_payload_bit_exact(tmp_path):
+    # signed zeros and infinities survive; re + 1j*im would turn 1+inf*j into nan+inf*j
+    core = np.array([complex(-0.0, 1.0), complex(1.0, np.inf), complex(3.0, -0.0)])
+    x = TensorTrain([core.reshape(1, 3, 1)])
+    path = tmp_path / "x.ttf"
+    ttio.write_tt(path, x)
+    y = ttio.read_tt(path)
+    assert y.cores[0].tobytes() == x.cores[0].tobytes()
+    assert path.read_bytes()[-48:] == struct.pack("<6d", -0.0, 1.0, 1.0, np.inf, 3.0, -0.0)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -72,3 +86,27 @@ def test_json_roundtrip(tmp_path, field):
     y = ttio.read_tt_json(path)
     for a, b in zip(x.cores, y.cores):
         assert np.array_equal(a, b)
+
+
+def _header(field_flag, dims, ranks):
+    d = len(dims)
+    return (ttio.MAGIC + struct.pack("<BI", field_flag, d) + struct.pack("<%dI" % d, *dims)
+            + struct.pack("<%dI" % (d + 1), *ranks))
+
+
+# A TTF1 header with small fields, so that some payloads complete the file.
+plausible_headers = st.integers(1, 3).flatmap(lambda d: st.builds(
+    _header, st.integers(0, 2), st.lists(st.integers(0, 3), min_size=d, max_size=d),
+    st.lists(st.integers(0, 3), min_size=d + 1, max_size=d + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(head=st.one_of(st.just(b""), plausible_headers), payload=st.binary(max_size=600))
+def test_read_fuzz_gives_train_or_value_error(tmp_path_factory, head, payload):
+    path = tmp_path_factory.mktemp("fuzz") / "x.ttf"
+    path.write_bytes(head + payload)
+    try:
+        x = ttio.read_tt(path)
+    except ValueError:
+        return
+    assert isinstance(x, TensorTrain)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import oracle_vector, rel_err
+from oracles import oracle_dense, oracle_vector, rel_err
+from ttsketch import tt
 from ttsketch.rounding import (
     STTASketchPair,
+    left_gaussian_chain,
     pinv_trunc,
     stta,
     stta_assemble,
@@ -15,6 +17,7 @@ from ttsketch.rounding import (
 )
 from ttsketch.sketch import SketchSpec, make_sketch
 from ttsketch.tt import (
+    TensorTrain,
     is_orthogonal,
     tt_dense,
     tt_linear_combination,
@@ -174,6 +177,21 @@ def test_stta_streaming_linearity():
     a1 = stta_assemble(added)
     a2 = stta_assemble(direct)
     assert err(a1, a2) < 1e-10
+
+
+def test_left_partial_contractions_invariant():
+    # the left sketch of stta_streams: V_k pairs modes 1..k of chain and train
+    dims = (2, 3, 2, 2)
+    x = tt_random(dims, (1, 2, 3, 2, 1), seed=61)
+    chain = left_gaussian_chain(dims, [1, 2, 3, 2, 1], "real", seed=4)
+    vs = tt._left_sweep(chain, x.cores, np.ones((1, 1)))
+    for k in range(1, len(dims) + 1):
+        g_head = oracle_dense(TensorTrain(chain[:k]))
+        x_head = oracle_dense(TensorTrain(x.cores[:k]))
+        g_head = g_head.reshape(-1, chain[k - 1].shape[2])
+        x_head = x_head.reshape(-1, x.cores[k - 1].shape[2])
+        expect = g_head.T @ x_head
+        assert rel_err(vs[k - 1], expect) < 1e-12
 
 
 def test_stta_oversampling_lists():

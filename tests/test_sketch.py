@@ -2,10 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import oracle_dense
 from ttsketch.sketch import (
+    KR_BASES,
+    VARIANTS,
     SketchSpec,
     block_tt_view,
     make_sketch,
@@ -28,6 +31,8 @@ def test_spec_validation():
         SketchSpec("gaussian_tt", (2, 2), ranks=(2, 2, 2))
     with pytest.raises(ValueError, match="field"):
         SketchSpec("tts", (2, 2), field="quaternion")
+    with pytest.raises(ValueError, match="seed"):
+        SketchSpec("tts", (2, 2), seed=-1)
 
 
 def test_bond_patterns():
@@ -53,6 +58,59 @@ def test_json_roundtrip():
     assert again == spec
     spec2 = SketchSpec("gaussian_tt", (2, 2), R=2, ranks=(2, 2, 1))
     assert SketchSpec.from_json(spec2.to_json()) == spec2
+
+
+@pytest.mark.parametrize("obj,key", [
+    ({"dims": [2, 2]}, "variant"),
+    ({"variant": "tts"}, "dims"),
+    ({"variant": "tts", "dims": 3}, "dims"),
+    ({"variant": "tts", "dims": [2, "x"]}, "dims"),
+    ({"variant": "tts", "dims": [2, 2], "P": None}, "P"),
+    ({"variant": "tts", "dims": [2, 2], "R": 1.5}, "R"),
+    ({"variant": "tts", "dims": [2, 2], "seed": True}, "seed"),
+    ({"variant": "gaussian_tt", "dims": [2, 2], "ranks": None}, "ranks"),
+    ({"variant": 7, "dims": [2, 2]}, "variant"),
+], ids=["no-variant", "no-dims", "scalar-dims", "str-dim", "null-P", "float-R",
+        "bool-seed", "null-ranks", "int-variant"])
+def test_json_spec_errors_name_the_key(obj, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        SketchSpec.from_json_obj(obj)
+    with pytest.raises(ValueError, match="JSON object"):
+        SketchSpec.from_json_obj([obj])
+
+
+# Any JSON-like value, and objects with SketchSpec's keys (variant and dims
+# always) holding plausible values, or plausible or arbitrary ones.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+small = st.integers(0, 4)
+plausible = {
+    "variant": st.sampled_from(VARIANTS), "dims": st.lists(small, min_size=1, max_size=4),
+    "P": small, "R": small, "field": st.sampled_from(["real", "complex", "quaternion"]),
+    "seed": st.integers(-1, 2 ** 40), "base": st.sampled_from(KR_BASES + ("cauchy",)),
+    "ranks": st.lists(small, max_size=5),
+}
+
+
+def spec_objects(values):
+    required = ("variant", "dims")
+    return st.fixed_dictionaries(
+        {k: values(plausible[k]) for k in required},
+        optional={k: values(v) for k, v in plausible.items() if k not in required})
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_objects(lambda v: v) | spec_objects(lambda v: v | json_values) | json_values)
+def test_json_spec_fuzz_gives_spec_or_value_error(obj):
+    try:
+        spec = SketchSpec.from_json_obj(obj)
+    except ValueError:
+        return
+    # to_json_obj leaves out ``base`` where the variant does not use it
+    assert SketchSpec.from_json(spec.to_json()).to_json() == spec.to_json()
 
 
 def test_determinism_and_seed_sensitivity():

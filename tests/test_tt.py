@@ -10,16 +10,18 @@ from ttsketch.tt import (
     core_unfold_left,
     core_unfold_right,
     is_orthogonal,
+    rng_for,
     tt_dense,
     tt_evaluate,
+    tt_feasible_ranks,
     tt_from_dense,
+    tt_gram,
     tt_hadamard_assemble,
     tt_inner,
     tt_linear_combination,
     tt_norm,
     tt_orthogonalize,
     tt_random,
-    tt_random_orthogonal_ranks,
     tt_residual_norm,
     tt_scale,
     tto_apply_assemble,
@@ -99,6 +101,31 @@ def test_inner_matches_dense(rng, field):
     y = random_tt(rng, (2, 3, 2), (1, 3, 2, 1), field)
     expect = np.vdot(oracle_vector(x), oracle_vector(y))
     assert_allclose(tt_inner(x, y), expect, rtol=1e-12)
+
+
+def test_inner_block_trains_matches_dense(rng):
+    # r0 = 2, r_d = 3: the Frobenius inner product of the (2, dims, 3) arrays
+    x = random_tt(rng, (2, 3, 2), (2, 3, 2, 3), "complex")
+    y = random_tt(rng, (2, 3, 2), (2, 2, 4, 3), "complex")
+    expect = np.vdot(oracle_dense(x), oracle_dense(y))
+    assert_allclose(tt_inner(x, y), expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dims,ranks", [
+    ((2, 3, 2), [(1, 2, 3, 1), (1, 1, 1, 1), (1, 2, 2, 1)]),
+    ((5,), [(1, 1), (1, 1), (1, 1), (1, 1)]),
+], ids=["unequal-ranks", "d1"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_gram_matches_dense(rng, field, dims, ranks):
+    trains = [random_tt(rng, dims, r, field) for r in ranks]
+    vs = np.stack([oracle_vector(t) for t in trains], axis=1)
+    expect = vs.conj().T @ vs
+    assert_allclose(tt_gram(trains), expect, rtol=1e-12)
+
+
+def test_gram_dims_mismatch(rng):
+    with pytest.raises(ValueError, match="dimension"):
+        tt_gram([random_tt(rng, (2, 3), (1, 2, 1)), random_tt(rng, (3, 2), (1, 2, 1))])
 
 
 @pytest.mark.parametrize("dist", [1e-2, 1e-14])
@@ -229,10 +256,18 @@ def test_random_deterministic():
     assert not np.array_equal(a.cores[0], c.cores[0])
 
 
-def test_random_orthogonal_ranks_capped():
-    assert tt_random_orthogonal_ranks((2, 2, 2), 100) == (1, 2, 2, 1)
-    assert tt_random_orthogonal_ranks((2, 2, 2, 2), 100) == (1, 2, 4, 2, 1)
-    assert tt_random_orthogonal_ranks((4, 4, 4, 4), 3) == (1, 3, 3, 3, 1)
+def test_negative_seed_rejected():
+    # -1 and 2**32 - 1 would otherwise realize the same stream
+    with pytest.raises(ValueError, match="seed"):
+        rng_for(-1, 1, 0)
+    with pytest.raises(ValueError, match="seed"):
+        tt_random((2, 2), (1, 2, 1), seed=-1)
+
+
+def test_feasible_ranks_capped():
+    assert tt_feasible_ranks((2, 2, 2), 100) == (1, 2, 2, 1)
+    assert tt_feasible_ranks((2, 2, 2, 2), 100) == (1, 2, 4, 2, 1)
+    assert tt_feasible_ranks((4, 4, 4, 4), 3) == (1, 3, 3, 3, 1)
 
 
 def test_from_dense_roundtrip(rng):
