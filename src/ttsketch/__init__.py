@@ -14,9 +14,8 @@ from .tt import (
     tto_apply_assemble,
     tt_random,
     tt_from_dense,
-    unfold,
 )
-from .sketch import SketchSpec, RealizedSketch, make_sketch, sketch_dense, block_tt_view
+from .sketch import SketchSpec, RealizedSketch, make_sketch, sketch_dense
 from .contract import (
     PartialSketchSet,
     partial_contractions,
@@ -29,8 +28,11 @@ from .analysis import (
     partial_trace,
     gamma_table,
     cq_upper_bound,
+    mc_moment_tensor,
+    moment_subset_bound,
     entanglement_constant,
     empirical_spectrum,
+    isotropy_samples,
     osi_sufficient_P,
     rsvd_constant,
     rounding_error_constant,
@@ -43,7 +45,21 @@ from .eigensolver import (
     sketched_rayleigh_ritz,
     RayleighRitzConfig,
     true_rayleigh_quotient,
-    estimate_true_residual,
 )
+
+__all__ = [
+    "TensorTrain", "TTOperator", "tt_dense", "tto_dense", "tt_inner", "tt_gram",
+    "tt_norm", "tt_orthogonalize", "tt_linear_combination", "tt_hadamard_assemble",
+    "tto_apply_assemble", "tt_random", "tt_from_dense", "SketchSpec", "RealizedSketch",
+    "make_sketch", "sketch_dense", "PartialSketchSet", "partial_contractions",
+    "sketch_linear_combination", "sketch_matvec", "sketch_hadamard", "tt_round",
+    "tt_rand_round", "stta", "pinv_trunc", "partial_trace", "gamma_table",
+    "cq_upper_bound", "mc_moment_tensor", "moment_subset_bound",
+    "entanglement_constant", "empirical_spectrum", "isotropy_samples",
+    "osi_sufficient_P", "rsvd_constant", "rounding_error_constant",
+    "ose_sufficient_params", "DyadicGrid", "qtt_exp_linear", "qtt_cos_linear",
+    "tto_tfim", "tto_heisenberg", "sketched_rayleigh_ritz", "RayleighRitzConfig",
+    "true_rayleigh_quotient",
+]
 
 __version__ = "0.1.0"

@@ -4,6 +4,8 @@ Subsets of modes are handled as bitmasks (bit k = mode k, zero-based) and
 capped at 16 modes; helpers also accept iterables of mode indices.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .contract import partial_contractions
@@ -61,21 +63,6 @@ def partial_trace(s, dims, subset):
     res = np.einsum("".join(row) + "".join(col) + "->" + out, a)
     nc = int(np.prod([dims[k] for k in keep])) if keep else 1
     return res.reshape(nc, nc)
-
-
-def partial_trace_outer(a, b, dims, subset):
-    """Tr_I[a b*] for vectors, without forming the rank-one matrix."""
-    dims = tuple(dims)
-    d = len(dims)
-    mask = as_mask(subset, d)
-    inside = [k for k in range(d) if (mask >> k) & 1]
-    outside = [k for k in range(d) if not (mask >> k) & 1]
-    ma = np.transpose(np.asarray(a).reshape(dims), inside + outside)
-    mb = np.transpose(np.asarray(b).reshape(dims), inside + outside)
-    ni = int(np.prod([dims[k] for k in inside])) if inside else 1
-    ma = ma.reshape(ni, -1)
-    mb = mb.reshape(ni, -1)
-    return ma.T @ mb.conj()
 
 
 def gamma_table(d, R, field="real"):
@@ -294,10 +281,8 @@ def isotropy_samples(spec, x, nsamples, seed=0):
     nrm2 = tt_norm(x) ** 2
     out = np.empty(nsamples)
     for t in range(nsamples):
-        s2 = SketchSpec(spec.variant, spec.dims, P=spec.P, R=spec.R,
-                        field=spec.field, seed=seed * 1000003 + t,
-                        base=spec.base, ranks=spec.ranks)
-        v = partial_contractions(make_sketch(s2), x).vector()
+        sk = make_sketch(replace(spec, seed=seed * 1000003 + t))
+        v = partial_contractions(sk, x).vector()
         out[t] = np.linalg.norm(v) ** 2 / nrm2
     return out
 

@@ -5,7 +5,9 @@ Usage: ttsketch <experiment> --config cfg.json [--seed N] [--out DIR]
 Experiments: embed_quality, round_synthetic, hadamard, eigensolve,
 verify_moments, gamma_table.  ``ttsketch convert A B`` translates between
 the binary train format (.ttf) and JSON.  Every experiment writes a CSV of
-raw rows plus a summary.json with medians and interquartile ranges.
+raw rows plus a summary.json with medians and interquartile ranges.  A
+config is read through the experiment's table in ``CONFIGS``: an unknown
+key or a value of the wrong type is an error that names the key.
 """
 
 import argparse
@@ -13,11 +15,12 @@ import csv
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import analysis, io as ttio
-from .contract import partial_contractions, sketch_hadamard
+from .contract import sketch_hadamard
 from .eigensolver import (
     RayleighRitzConfig,
     sketched_rayleigh_ritz,
@@ -32,7 +35,6 @@ from .tt import (
     STREAM_EXPERIMENT,
     TensorTrain,
     rng_for,
-    tt_dense,
     tt_feasible_ranks,
     tt_hadamard_assemble,
     tt_linear_combination,
@@ -62,6 +64,96 @@ def _load_config(path):
         return {}
     with open(path) as f:
         return json.load(f)
+
+
+FIELDS = ("real", "complex")
+
+# Each experiment's config keys: key -> (type, default).  A type is int
+# (a positive integer), float (ints accepted), a tuple of allowed strings,
+# list, or [type] for a list of that type.  A default of None is resolved
+# from other keys after the lookup, in ``_config``.
+CONFIGS = {
+    "embed_quality": {
+        "d": (int, 40), "n": (int, 4), "r": (int, 16), "trials": (int, 100),
+        "basis": (("kron", "tt"), "kron"), "basis_rank": (int, 2),
+        "field": (FIELDS, "real"), "variants": (list, None),
+    },
+    "round_synthetic": {
+        "d": (int, 20), "n": (int, 4), "signal_rank": (int, 16), "noise_rank": (int, 10),
+        "PR": (int, 16), "R_list": ([int], [1, 4, 8, 16]),
+        "eps_list": ([float], [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]), "trials": (int, 20),
+    },
+    "hadamard": {
+        "bits": (int, 20), "target_rank": (int, 30), "R_list": ([int], [1, 2, 4, 8, 16]),
+        "PR": (int, None), "trials": (int, 20),
+    },
+    "eigensolve": {
+        "model": (("tfim", "heisenberg"), "tfim"), "d": (int, 10),
+        "J": (float, 1.0), "g": (float, 1.5),
+        "Jx": (float, 1.0), "Jy": (float, 1.0), "Jz": (float, 1.0), "h": (float, 0.0),
+        "ranks": (int, 16), "m": (int, 10), "restarts": (int, 5), "P": (int, 4), "R": (int, 16),
+    },
+    "verify_moments": {
+        "R": (int, 2), "n": (int, 3), "nsamples": (int, 100000),
+        "fields": ([FIELDS], ["real", "complex"]),
+    },
+    "gamma_table": {"d": (int, 6), "R": (int, 4), "field": (FIELDS, "real")},
+}
+
+
+def _typed(key, kind, v):
+    """``v`` checked against a table type; ints are widened for floats."""
+    if isinstance(kind, list):
+        if isinstance(v, list):
+            return [_typed(key, kind[0], u) for u in v]
+    elif isinstance(kind, tuple):
+        if isinstance(v, str) and v in kind:
+            return v
+    elif kind in (int, float):
+        if isinstance(v, (int, kind)) and not isinstance(v, bool) and (kind is float or v >= 1):
+            return kind(v)
+    elif isinstance(v, kind):
+        return v
+    raise ValueError("config %r has a bad value: %r" % (key, v))
+
+
+def _variant_spec(entry, cfg, seed):
+    """The sketch of one embed_quality ``variants`` entry; the experiment
+    sets its dims, field and seed."""
+    if not isinstance(entry, dict) or not set(entry) <= {"variant", "P", "R", "base"}:
+        raise ValueError("config 'variants' entry %r must be an object with keys among "
+                         "variant, P, R, base" % (entry,))
+    try:
+        return SketchSpec.from_json_obj(
+            dict(entry, dims=[cfg["n"]] * cfg["d"], field=cfg["field"], seed=seed))
+    except ValueError as e:
+        raise ValueError("config 'variants' entry %r: %s" % (entry, e)) from None
+
+
+def _config(name, cfg):
+    """The full config of experiment ``name``, defaults filled in.
+
+    ValueError names an unknown key, a value of the wrong type, or a bad
+    ``variants`` entry.  A full config passes through unchanged.
+    """
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    table = CONFIGS[name]
+    for key in cfg:
+        if key not in table:
+            raise ValueError("unknown config key %r for %s" % (key, name))
+    out = {key: _typed(key, kind, cfg[key]) if key in cfg else default
+           for key, (kind, default) in table.items()}
+    if name == "hadamard" and out["PR"] is None:
+        out["PR"] = 2 * out["target_rank"]
+    if name == "embed_quality":
+        if out["variants"] is None:
+            r = out["r"]
+            out["variants"] = [{"variant": "tts", "P": 2 * r, "R": 1},
+                               {"variant": "tts", "P": 2, "R": r}]
+        for entry in out["variants"]:
+            _variant_spec(entry, out, 0)
+    return out
 
 
 def _kron_basis(d, n, r, seed):
@@ -94,29 +186,18 @@ def _tt_basis(d, n, r, rank, seed):
 
 
 def run_embed_quality(cfg, seed, out):
-    d = int(cfg.get("d", 40))
-    n = int(cfg.get("n", 4))
-    r = int(cfg.get("r", 16))
-    trials = int(cfg.get("trials", 100))
-    basis_kind = cfg.get("basis", "kron")
-    field = cfg.get("field", "real")
-    variants = cfg.get(
-        "variants",
-        [{"variant": "tts", "P": 2 * r, "R": 1}, {"variant": "tts", "P": 2, "R": r}],
-    )
-    if basis_kind == "kron":
+    cfg = _config("embed_quality", cfg)
+    d, n, r, trials = cfg["d"], cfg["n"], cfg["r"], cfg["trials"]
+    specs = [_variant_spec(entry, cfg, 0) for entry in cfg["variants"]]
+    if cfg["basis"] == "kron":
         basis = _kron_basis(d, n, r, seed)
     else:
-        basis = _tt_basis(d, n, r, int(cfg.get("basis_rank", 2)), seed)
+        basis = _tt_basis(d, n, r, cfg["basis_rank"], seed)
     rows = []
-    for vspec in variants:
+    for spec in specs:
         for t in range(trials):
-            spec = SketchSpec(
-                vspec["variant"], (n,) * d, P=int(vspec["P"]), R=int(vspec["R"]),
-                field=field, seed=seed * 1000003 + 7919 * t,
-                base=vspec.get("base", "gaussian"),
-            )
-            lo, hi = analysis.empirical_spectrum(basis, make_sketch(spec))
+            sk = make_sketch(replace(spec, seed=seed * 1000003 + 7919 * t))
+            lo, hi = analysis.empirical_spectrum(basis, sk)
             rows.append([d, n, r, spec.variant, spec.P, spec.R, t, lo, hi])
     _write_csv(
         os.path.join(out, "embed_quality.csv"),
@@ -124,11 +205,9 @@ def run_embed_quality(cfg, seed, out):
         rows,
     )
     summary = {}
-    for vspec in variants:
-        key = "%s_P%d_R%d" % (vspec["variant"], vspec["P"], vspec["R"])
-        sel = [row for row in rows if row[3] == vspec["variant"]
-               and row[4] == int(vspec["P"]) and row[5] == int(vspec["R"])]
-        summary[key] = {
+    for spec in specs:
+        sel = [row for row in rows if row[3:6] == [spec.variant, spec.P, spec.R]]
+        summary["%s_P%d_R%d" % (spec.variant, spec.P, spec.R)] = {
             "sigma_min_sq": _summarize([s[7] for s in sel]),
             "sigma_max_sq": _summarize([s[8] for s in sel]),
         }
@@ -148,14 +227,9 @@ def synthetic_lowrank_plus_noise(d, n, signal_rank, noise_rank, eps, seed):
 
 
 def run_round_synthetic(cfg, seed, out):
-    d = int(cfg.get("d", 20))
-    n = int(cfg.get("n", 4))
-    signal_rank = int(cfg.get("signal_rank", 16))
-    noise_rank = int(cfg.get("noise_rank", 10))
-    pr = int(cfg.get("PR", 16))
-    r_list = [int(v) for v in cfg.get("R_list", [1, 4, 8, 16])]
-    eps_list = [float(v) for v in cfg.get("eps_list", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])]
-    trials = int(cfg.get("trials", 20))
+    cfg = _config("round_synthetic", cfg)
+    d, n, signal_rank, noise_rank = cfg["d"], cfg["n"], cfg["signal_rank"], cfg["noise_rank"]
+    pr, r_list, eps_list, trials = cfg["PR"], cfg["R_list"], cfg["eps_list"], cfg["trials"]
     rows = []
     for eps in eps_list:
         for t in range(trials):
@@ -189,12 +263,9 @@ def run_round_synthetic(cfg, seed, out):
 
 
 def run_hadamard(cfg, seed, out):
-    bits = int(cfg.get("bits", 20))
-    target_rank = int(cfg.get("target_rank", 30))
-    r_list = [int(v) for v in cfg.get("R_list", [1, 2, 4, 8, 16])]
-    pr = int(cfg.get("PR", 2 * target_rank))
-    trials = int(cfg.get("trials", 20))
-    grid, factors = hadamard_experiment_factors(bits)
+    cfg = _config("hadamard", cfg)
+    target_rank, r_list, pr, trials = cfg["target_rank"], cfg["R_list"], cfg["PR"], cfg["trials"]
+    grid, factors = hadamard_experiment_factors(cfg["bits"])
     exact = tt_hadamard_assemble(factors)
     xn = tt_norm(exact)
     dims = exact.dims
@@ -231,25 +302,15 @@ def run_hadamard(cfg, seed, out):
     return summary
 
 
-def run_eigensolve(cfg, seed, out, args=None):
-    if args is not None:
-        flags = ("model", "d", "ranks", "P", "R", "m", "restarts")
-        cfg = dict(cfg, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None})
-    model = cfg.get("model", "tfim")
-    d = int(cfg.get("d", 10))
+def run_eigensolve(cfg, seed, out):
+    cfg = _config("eigensolve", cfg)
+    model, d = cfg["model"], cfg["d"]
     if model == "tfim":
-        h = tto_tfim(d, J=float(cfg.get("J", 1.0)), g=float(cfg.get("g", 1.5)))
-    elif model == "heisenberg":
-        h = tto_heisenberg(
-            d,
-            Jx=float(cfg.get("Jx", 1.0)), Jy=float(cfg.get("Jy", 1.0)),
-            Jz=float(cfg.get("Jz", 1.0)), h=float(cfg.get("h", 0.0)),
-        )
+        h = tto_tfim(d, J=cfg["J"], g=cfg["g"])
     else:
-        raise SystemExit("unknown model %r" % model)
-    rr = RayleighRitzConfig(ranks=int(cfg.get("ranks", 16)), m=int(cfg.get("m", 10)),
-                            max_restarts=int(cfg.get("restarts", 5)),
-                            P=int(cfg.get("P", 4)), R=int(cfg.get("R", 16)), seed=seed)
+        h = tto_heisenberg(d, Jx=cfg["Jx"], Jy=cfg["Jy"], Jz=cfg["Jz"], h=cfg["h"])
+    rr = RayleighRitzConfig(ranks=cfg["ranks"], m=cfg["m"], max_restarts=cfg["restarts"],
+                            P=cfg["P"], R=cfg["R"], seed=seed)
     res = sketched_rayleigh_ritz(h, rr)
     rows = [
         [e["restart"], e["ranks"], e["value"], e["sketched_residual"]]
@@ -278,10 +339,8 @@ def run_eigensolve(cfg, seed, out, args=None):
 
 
 def run_verify_moments(cfg, seed, out):
-    R = int(cfg.get("R", 2))
-    n = int(cfg.get("n", 3))
-    nsamples = int(cfg.get("nsamples", 100000))
-    fields = cfg.get("fields", ["real", "complex"])
+    cfg = _config("verify_moments", cfg)
+    R, n, nsamples, fields = cfg["R"], cfg["n"], cfg["nsamples"], cfg["fields"]
     rows = []
     rng = rng_for(seed, STREAM_EXPERIMENT, 3, 0)
     for field in fields:
@@ -307,9 +366,8 @@ def run_verify_moments(cfg, seed, out):
 
 
 def run_gamma_table(cfg, seed, out):
-    d = int(cfg.get("d", 6))
-    R = int(cfg.get("R", 4))
-    field = cfg.get("field", "real")
+    cfg = _config("gamma_table", cfg)
+    d, R, field = cfg["d"], cfg["R"], cfg["field"]
     table = analysis.gamma_table(d, R, field)
     rows = [
         [mask, "{" + ",".join(str(k) for k in range(d) if (mask >> k) & 1) + "}", val]
@@ -344,27 +402,26 @@ EXPERIMENTS = {
     "embed_quality": run_embed_quality,
     "round_synthetic": run_round_synthetic,
     "hadamard": run_hadamard,
+    "eigensolve": run_eigensolve,
     "verify_moments": run_verify_moments,
     "gamma_table": run_gamma_table,
 }
+
+# Config keys that eigensolve also takes as command-line flags.
+EIGENSOLVE_FLAGS = ("model", "d", "ranks", "P", "R", "m", "restarts")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="ttsketch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(EXPERIMENTS) + ["eigensolve"]:
+    for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=".")
         if name == "eigensolve":
-            p.add_argument("--model", choices=["tfim", "heisenberg"], default=None)
-            p.add_argument("--d", type=int, default=None)
-            p.add_argument("--ranks", type=int, default=None)
-            p.add_argument("--P", type=int, default=None)
-            p.add_argument("--R", type=int, default=None)
-            p.add_argument("--m", type=int, default=None)
-            p.add_argument("--restarts", type=int, default=None)
+            for key in EIGENSOLVE_FLAGS:
+                p.add_argument("--" + key, type=int if key != "model" else str)
     pc = sub.add_parser("convert")
     pc.add_argument("src")
     pc.add_argument("dst")
@@ -372,12 +429,16 @@ def main(argv=None):
     if args.command == "convert":
         run_convert(args)
         return 0
-    cfg = _load_config(args.config)
+    try:
+        cfg = _load_config(args.config)
+        if isinstance(cfg, dict):
+            cfg.update((k, getattr(args, k)) for k in EIGENSOLVE_FLAGS
+                       if getattr(args, k, None) is not None)
+        cfg = _config(args.command, cfg)
+    except ValueError as e:
+        parser.error(str(e))
     os.makedirs(args.out, exist_ok=True)
-    if args.command == "eigensolve":
-        summary = run_eigensolve(cfg, args.seed, args.out, args=args)
-    else:
-        summary = EXPERIMENTS[args.command](cfg, args.seed, args.out)
+    summary = EXPERIMENTS[args.command](cfg, args.seed, args.out)
     with open(os.path.join(args.out, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2, default=float)
     print(json.dumps(summary, indent=2, default=float))

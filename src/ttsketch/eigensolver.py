@@ -6,7 +6,7 @@ small Ritz problem.  Basis vectors are kept as trains; products with the
 operator are only ever assembled at the current iteration ranks.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class RayleighRitzConfig:
     seed: int = 0
     rank_cap: int = 64
     tol: float = 1e-10
-    history: list = dc_field(default_factory=list)
 
 
 def ritz_solve(c, d_mat):
@@ -122,14 +121,6 @@ def ritz_solve(c, d_mat):
 def true_rayleigh_quotient(h, x):
     hx = tto_apply_assemble(h, x)
     return (tt_inner(x, hx) / tt_inner(x, x)).real
-
-
-def estimate_true_residual(h, x, lam, sk):
-    """Sketched norm of H x - lambda x; the product train is never
-    assembled at full rank."""
-    w_h = sketch_matvec(sk, h, x).vector()
-    w_x = partial_contractions(sk, x).vector()
-    return float(np.linalg.norm(w_h - lam * w_x))
 
 
 def sketched_rayleigh_ritz(h, cfg=None):
@@ -168,7 +159,6 @@ def sketched_rayleigh_ritz(h, cfg=None):
             comb = tt_linear_combination([tto_apply_assemble(h, basis[-1])] + basis, coeffs)
             ps_comb = PartialSketchSet.combine([ps_h[-1]] + ps_b, coeffs)
             vj = tt_rand_round(comb, ranks, partials=ps_comb)
-            vj = tt_round(vj, ranks)
             ps = partial_contractions(sk, vj)
             nv = np.linalg.norm(ps.vector())
             if nv < 1e-300:

@@ -88,15 +88,38 @@ def tt_to_json_obj(x):
     return obj
 
 
+def _json_cores(obj, key):
+    """The list of float arrays under ``key``; ValueError names the key."""
+    if key not in obj:
+        raise ValueError("train JSON has no %r" % key)
+    if not isinstance(obj[key], list):
+        raise ValueError("train JSON %r is not a list" % key)
+    try:
+        return [np.asarray(c, dtype=float) for c in obj[key]]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("train JSON %r holds a core that is not a numeric array" % key) from None
+
+
 def tt_from_json_obj(obj):
-    if obj.get("field") == "complex":
-        cores = [
-            np.asarray(re) + 1j * np.asarray(im)
-            for re, im in zip(obj["cores_re"], obj["cores_im"])
-        ]
+    """Train from a parsed JSON object; ValueError names a missing or bad key."""
+    if not isinstance(obj, dict):
+        raise ValueError("train JSON must be an object")
+    field = obj.get("field")
+    if field == "complex":
+        re, im = _json_cores(obj, "cores_re"), _json_cores(obj, "cores_im")
+        if len(re) != len(im) or any(a.shape != b.shape for a, b in zip(re, im)):
+            raise ValueError("train JSON 'cores_re' and 'cores_im' differ in shape")
+        # (re, im) pairs read as complex; a + 1j*b would turn 1+inf*j into nan+inf*j
+        cores = [np.stack([a, b], axis=-1).view(complex)[..., 0] for a, b in zip(re, im)]
+    elif field == "real":
+        cores = _json_cores(obj, "cores")
     else:
-        cores = [np.asarray(c, dtype=float) for c in obj["cores"]]
-    return TensorTrain(cores)
+        raise ValueError("train JSON 'field' must be 'real' or 'complex', got %r" % (field,))
+    x = TensorTrain(cores)
+    for key in ("dims", "ranks"):
+        if obj.get(key) != list(getattr(x, key)):
+            raise ValueError("train JSON %r is missing or disagrees with the cores" % key)
+    return x
 
 
 def write_tt_json(path, x):

@@ -116,10 +116,6 @@ def qtt_cos_linear(grid, phase, coeffs):
     return TensorTrain(cores)
 
 
-def qtt_sin_linear(grid, phase, coeffs):
-    return qtt_cos_linear(grid, phase - np.pi / 2, coeffs)
-
-
 def hadamard_experiment_factors(bits, omega2=2.0 ** 16, omega3=2.0 ** 14 / np.sqrt(5.0)):
     """Three trains in x, y, z on a shared dyadic grid, for product tests.
 

@@ -12,6 +12,8 @@ Three routes:
   streams is linear, so streams of a sum are sums of streams.
 """
 
+import math
+
 import numpy as np
 
 from .contract import partial_contractions
@@ -87,10 +89,12 @@ def default_round_sketch(dims, ranks, field="real", seed=0):
 def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     """Randomize-then-orthogonalize rounding; output is left-orthogonal.
 
-    One sketch of the tail chains is shared across all modes.  If the sketch
-    carries more columns than the target rank, the range basis is truncated
-    through an SVD of the sketched unfolding.  Precomputed partial sketches
-    may be passed in; their column layout must match the cores of ``x``.
+    One sketch of the tail chains is shared across all modes.  Each bond is
+    capped at the target, at the size of the left unfolding and at the tail
+    size, so the output ranks are feasible.  If the sketch carries more
+    columns than the capped rank, the range basis is truncated through an
+    SVD of the sketched unfolding.  Precomputed partial sketches may be
+    passed in; their column layout must match the cores of ``x``.
     """
     d = x.d
     caps = _rank_list(max_ranks, d)
@@ -107,7 +111,7 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
         r1, n, r2 = cores[k].shape
         m = cores[k].reshape(r1 * n, r2)
         z = m @ ws[k + 1].T
-        target = min(caps[k + 1], z.shape[0])
+        target = min(caps[k + 1], z.shape[0], math.prod(x.dims[k + 1:]))
         if z.shape[1] > target:
             q, _, _ = np.linalg.svd(z, full_matrices=False)
             q = q[:, :target]
@@ -184,10 +188,6 @@ def stta_streams(x, sketches):
     return streams
 
 
-def stta_streams_add(a, b, beta=1.0):
-    return [(sa + beta * sb, za + beta * zb) for (sa, za), (sb, zb) in zip(a, b)]
-
-
 def stta_assemble(streams, rcond=1e-12):
     """Cores from streams: Y_k = Z_k pinv(S_k), last core Y_d = Z_d."""
     cores = []
@@ -200,9 +200,7 @@ def stta_assemble(streams, rcond=1e-12):
     return TensorTrain(cores)
 
 
-def stta(x, ranks, oversample=None, seed=0, rcond=1e-12, sketches=None):
+def stta(x, ranks, oversample=None, seed=0, rcond=1e-12):
     """Two-sided streaming rounding to the given target ranks."""
-    if sketches is None:
-        sketches = STTASketchPair(x.dims, ranks, oversample=oversample,
-                                  field=x.field, seed=seed)
+    sketches = STTASketchPair(x.dims, ranks, oversample=oversample, field=x.field, seed=seed)
     return stta_assemble(stta_streams(x, sketches), rcond=rcond)

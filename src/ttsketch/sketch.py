@@ -30,14 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .tt import (
-    STREAM_SKETCH,
-    TensorTrain,
-    _block_diagonal_core,
-    gaussian,
-    rng_for,
-    tt_dense,
-)
+from .tt import STREAM_SKETCH, gaussian, rng_for
 
 VARIANTS = ("tts", "otts", "khatri_rao", "gaussian_tt", "f_tt_r")
 KR_BASES = ("gaussian", "rademacher", "spherical")
@@ -80,6 +73,8 @@ class SketchSpec:
                 raise ValueError("khatri_rao requires R = 1")
             if self.base not in KR_BASES:
                 raise ValueError("unknown base %r" % (self.base,))
+        elif self.base != "gaussian":
+            raise ValueError("base %r is only for khatri_rao" % (self.base,))
         if self.variant == "gaussian_tt" and self.P != 1:
             raise ValueError("gaussian_tt requires P = 1")
         if self.ranks is not None:
@@ -226,14 +221,6 @@ class RealizedSketch:
     def rows(self):
         return sum(b[0].shape[0] for b in self.blocks)
 
-    @property
-    def n_blocks(self):
-        return len(self.blocks)
-
-    def block_chain(self, j):
-        """Block ``j`` as a block tensor train (left boundary rank = rows)."""
-        return TensorTrain(self.blocks[j])
-
 
 def make_sketch(spec):
     """Realize all random cores of a sketch.
@@ -251,26 +238,17 @@ def make_sketch(spec):
 
 
 def sketch_dense(sk, max_entries=2 ** 24):
-    """Full sketching matrix (rows x prod dims), block-major rows, scaled."""
+    """Full sketching matrix (rows x prod dims), block-major rows, scaled.
+
+    The stacked cores are multiplied left to right as one matmul chain
+    batched over the blocks.
+    """
     n = int(np.prod(sk.spec.dims))
     if sk.rows * n > max_entries:
         raise ValueError("dense sketch would have %d entries" % (sk.rows * n))
-    rows = []
-    for j in range(sk.n_blocks):
-        dense = tt_dense(sk.block_chain(j), max_entries=max_entries)
-        rows.append(dense.reshape(sk.blocks[j][0].shape[0], n))
-    return sk.scale * np.concatenate(rows, axis=0)
-
-
-def block_tt_view(sk):
-    """The whole sketch as one block tensor train (testing aid).
-
-    Every core but the last is slice-wise block diagonal over blocks, the
-    last core stacks blocks vertically, and the global scale is folded into
-    the first core.  Its dense unfolding equals ``sketch_dense`` row for row.
-    """
-    cores = [_block_diagonal_core(g, g.dtype) for g in sk.cores[:-1]]
-    g = sk.cores[-1]
-    cores.append(g.reshape(-1, *g.shape[2:]))
-    cores[0] = cores[0] * sk.scale
-    return TensorTrain(cores)
+    g = sk.cores[0]
+    out = g.reshape(g.shape[0], -1, g.shape[3])
+    for g in sk.cores[1:]:
+        p, l, m, lr = g.shape
+        out = (out @ g.reshape(p, l, m * lr)).reshape(p, -1, lr)
+    return sk.scale * out.reshape(sk.rows, n)

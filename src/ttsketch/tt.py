@@ -164,28 +164,6 @@ def tto_dense(h, max_entries=DEFAULT_DENSE_CAP):
     return out[:, :, 0]
 
 
-def unfold(x, dims, ell):
-    """Row-major unfolding: rows indexed by modes 1..ell, columns by the rest."""
-    dims = tuple(dims)
-    if not 0 <= ell <= len(dims):
-        raise ValueError("split index %d out of range" % ell)
-    a = np.asarray(x).reshape(dims)
-    rows = int(np.prod(dims[:ell], dtype=np.int64)) if ell else 1
-    return a.reshape(rows, -1)
-
-
-def core_unfold_left(c):
-    """(r_prev * n, r_next) unfolding of a core, row-major."""
-    r1, n, r2 = c.shape
-    return c.reshape(r1 * n, r2)
-
-
-def core_unfold_right(c):
-    """(r_prev, n * r_next) unfolding of a core."""
-    r1, n, r2 = c.shape
-    return c.reshape(r1, n * r2)
-
-
 def _left_sweep(a_cores, b_cores, m):
     """Pairings of two chains after each core, swept from the left.
 
@@ -265,24 +243,6 @@ def tt_orthogonalize(x, mode):
     return TensorTrain(cores)
 
 
-def is_orthogonal(x, mode, atol=1e-10):
-    """Check core unfoldings; left skips the last core, right skips the first."""
-    if mode == "left":
-        cores = x.cores[:-1]
-    else:
-        cores = x.cores[1:]
-    for c in cores:
-        if mode == "left":
-            m = core_unfold_left(c)
-            g = m.conj().T @ m
-        else:
-            m = core_unfold_right(c)
-            g = m @ m.conj().T
-        if not np.allclose(g, np.eye(g.shape[0]), atol=atol):
-            return False
-    return True
-
-
 def _common_dims(trains, what):
     """The dims of a non-empty list of plain trains that share them."""
     if not trains:
@@ -357,18 +317,6 @@ def tto_apply_assemble(h, x):
         s = c.shape
         cores.append(c.reshape(s[0] * s[1], s[2], s[3] * s[4]))
     return TensorTrain(cores)
-
-
-def tt_evaluate(x, index):
-    """Single entry of a plain train at a multi-index, O(d r^2)."""
-    if len(index) != x.d:
-        raise ValueError("index length mismatch")
-    v = x.cores[0][:, index[0], :]
-    for k in range(1, x.d):
-        v = v @ x.cores[k][:, index[k], :]
-    if v.shape != (1, 1):
-        raise ValueError("entry evaluation needs scalar boundary ranks")
-    return v[0, 0]
 
 
 def tt_random(dims, ranks, field="real", seed=0, stream=STREAM_TT):

@@ -1,11 +1,13 @@
 """Shared brute-force oracles, intentionally independent of the library's
 contraction code paths: entries are evaluated by explicit per-index matrix
 products so the fast implementations have something to be checked against.
+The test-only helpers at the end read trains, sketches and stta streams
+through their public layout.
 """
 
 import numpy as np
 
-from ttsketch.tt import TensorTrain
+from ttsketch.tt import TensorTrain, _block_diagonal_core
 
 
 def oracle_entry(cores, idx):
@@ -40,3 +42,53 @@ def rel_err(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def tt_evaluate(x, index):
+    """Single entry of a plain train at a multi-index, O(d r^2)."""
+    if len(index) != x.d:
+        raise ValueError("index length mismatch")
+    v = x.cores[0][:, index[0], :]
+    for k in range(1, x.d):
+        v = v @ x.cores[k][:, index[k], :]
+    if v.shape != (1, 1):
+        raise ValueError("entry evaluation needs scalar boundary ranks")
+    return v[0, 0]
+
+
+def is_orthogonal(x, mode, atol=1e-10):
+    """Check core unfoldings; left skips the last core, right skips the first."""
+    if mode == "left":
+        cores = x.cores[:-1]
+    else:
+        cores = x.cores[1:]
+    for c in cores:
+        r1, n, r2 = c.shape
+        if mode == "left":
+            m = c.reshape(r1 * n, r2)
+            g = m.conj().T @ m
+        else:
+            m = c.reshape(r1, n * r2)
+            g = m @ m.conj().T
+        if not np.allclose(g, np.eye(g.shape[0]), atol=atol):
+            return False
+    return True
+
+
+def block_tt_view(sk):
+    """The whole sketch as one block tensor train.
+
+    Every core but the last is slice-wise block diagonal over blocks, the
+    last core stacks blocks vertically, and the global scale is folded into
+    the first core.  Its dense unfolding equals ``sketch_dense`` row for row.
+    """
+    cores = [_block_diagonal_core(g, g.dtype) for g in sk.cores[:-1]]
+    g = sk.cores[-1]
+    cores.append(g.reshape(-1, *g.shape[2:]))
+    cores[0] = cores[0] * sk.scale
+    return TensorTrain(cores)
+
+
+def stta_streams_add(a, b, beta=1.0):
+    """Streams of x + beta y from the streams of x and y."""
+    return [(sa + beta * sb, za + beta * zb) for (sa, za), (sb, zb) in zip(a, b)]

@@ -10,6 +10,7 @@ import time
 import numpy as np
 from numpy.testing import assert_allclose
 
+from oracles import stta_streams_add
 from ttsketch.analysis import (
     cq_upper_bound,
     empirical_spectrum,
@@ -27,14 +28,12 @@ from ttsketch.contract import partial_contractions, sketch_hadamard, \
     sketch_linear_combination, sketch_matvec
 from ttsketch.eigensolver import (
     RayleighRitzConfig,
-    estimate_true_residual,
     sketched_rayleigh_ritz,
     true_rayleigh_quotient,
     tto_tfim,
 )
 from ttsketch.qtt import hadamard_experiment_factors
-from ttsketch.rounding import stta, stta_streams, stta_streams_add, \
-    STTASketchPair, tt_rand_round, tt_round
+from ttsketch.rounding import stta, stta_streams, STTASketchPair, tt_rand_round, tt_round
 from ttsketch.sketch import SketchSpec, make_sketch, sketch_dense
 from ttsketch.tt import (
     TensorTrain,

@@ -25,7 +25,6 @@ from ttsketch.analysis import (
     osi_sufficient_P,
     p_field,
     partial_trace,
-    partial_trace_outer,
     rounding_error_constant,
     rsvd_constant,
 )
@@ -114,17 +113,6 @@ def test_partial_trace_positivity():
     for mask in range(8):
         w = np.linalg.eigvalsh(partial_trace(s, dims, mask))
         assert w.min() > -1e-12
-
-
-def test_partial_trace_outer_matches_matrix_version():
-    dims = (2, 3, 2)
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    s = np.outer(a, b.conj())
-    for mask in [0, 1, 5, 7]:
-        assert_allclose(partial_trace_outer(a, b, dims, mask),
-                        partial_trace(s, dims, mask), atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,12 +1,13 @@
 import csv
 import json
 import os
+import re
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from ttsketch.cli import main, synthetic_lowrank_plus_noise
+from ttsketch.cli import CONFIGS, EXPERIMENTS, _config, main, synthetic_lowrank_plus_noise
 from ttsketch.io import write_tt
 from ttsketch.tt import tt_dense, tt_norm, tt_random
 
@@ -128,3 +129,97 @@ def test_unknown_model_exits(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {"model": "bogus", "d": 3})
     with pytest.raises(SystemExit):
         main(["eigensolve", "--config", cfg, "--out", str(tmp_path)])
+
+
+# (experiment, config, the part of the error that names the key)
+BAD_CONFIGS = [
+    ("round_synthetic", {"PRR": 32}, "key 'PRR'"),
+    ("hadamard", {"trials": 2.5}, "config 'trials'"),
+    ("eigensolve", {"model": "bogus"}, "config 'model'"),
+    ("embed_quality", {"variants": [{"variant": "tts", "P": None, "R": 1}]}, "spec 'P'"),
+    ("embed_quality", {"variants": [{"variant": "tts", "P": 2, "seed": 1}]}, "'seed': 1}"),
+    ("gamma_table", {"d": True}, "config 'd'"),
+    ("verify_moments", {"fields": ["real", "quaternion"]}, "config 'fields'"),
+]
+BAD_IDS = ["unknown-key", "float-int", "model", "null-P", "variant-key", "bool-int", "fields"]
+
+
+@pytest.mark.parametrize("name,cfg,named", BAD_CONFIGS, ids=BAD_IDS)
+def test_bad_config_raises_naming_the_key(tmp_path, name, cfg, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        EXPERIMENTS[name](cfg, 0, str(tmp_path))
+
+
+@pytest.mark.parametrize("name,cfg,named", BAD_CONFIGS, ids=BAD_IDS)
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, name, cfg, named):
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--config", path, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_bad_eigensolve_flag_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eigensolve", "--model", "bogus", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "'model'" in capsys.readouterr().err
+
+
+def test_config_defaults_and_widening():
+    cfg = _config("hadamard", {"target_rank": 8})
+    assert cfg["PR"] == 16 and cfg["R_list"] == [1, 2, 4, 8, 16]
+    cfg = _config("eigensolve", {"J": 2})
+    assert cfg["J"] == 2.0 and isinstance(cfg["J"], float)
+    cfg = _config("embed_quality", {"r": 3})
+    assert cfg["variants"] == [{"variant": "tts", "P": 6, "R": 1},
+                               {"variant": "tts", "P": 2, "R": 3}]
+    assert _config("embed_quality", cfg) == cfg
+
+
+# Small JSON-like values: the ints stay small so that no config asks for a
+# large sketch.
+json_leaves = (st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
+               | st.text(max_size=3) | st.sampled_from(["tfim", "kron", "tt", "real"]))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+variant_entries = st.fixed_dictionaries(
+    {"variant": st.sampled_from(["tts", "khatri_rao", "otts"]) | json_values},
+    optional={"P": st.integers(1, 4) | json_values, "R": st.integers(1, 4) | json_values,
+              "base": st.sampled_from(["gaussian", "spherical"]) | json_values,
+              "seed": json_values})
+
+
+def plausible(kind):
+    """Values of a config table type, and some just outside it."""
+    if isinstance(kind, list):
+        return st.lists(plausible(kind[0]), max_size=3)
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind + ("bogus",))
+    if kind is int:
+        return st.integers(0, 6)
+    if kind is float:
+        return st.floats(-3, 3) | st.integers(-3, 3)
+    return st.lists(variant_entries, max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(CONFIGS)))
+def test_config_fuzz_gives_config_or_value_error(data, name):
+    table = CONFIGS[name]
+    values = {key: plausible(kind) for key, (kind, _) in table.items()}
+    cfg = data.draw(st.fixed_dictionaries({}, optional=values)
+                    | st.fixed_dictionaries({}, optional={k: v | json_values
+                                                          for k, v in values.items()})
+                    | st.dictionaries(st.sampled_from(sorted(table)) | st.text(max_size=3),
+                                      json_values, max_size=3))
+    try:
+        out = _config(name, cfg)
+    except ValueError as e:
+        assert any(repr(k) in str(e) for k in set(cfg) | set(table)), str(e)
+        return
+    assert set(out) == set(table) and None not in out.values()
+    assert _config(name, out) == out

@@ -72,9 +72,8 @@ def test_partial_invariant_every_cut(variant, kw):
     d = len(DIMS)
     for k in range(1, d):
         tails = []
-        for j in range(sk.n_blocks):
-            g_tail = oracle_dense(TensorTrain(sk.blocks[j][k:])).reshape(
-                sk.blocks[j][k].shape[0], -1)
+        for block in sk.blocks:
+            g_tail = oracle_dense(TensorTrain(block[k:])).reshape(block[k].shape[0], -1)
             x_tail = oracle_dense(TensorTrain(x.cores[k:])).reshape(
                 x.cores[k].shape[0], -1)
             tails.append(g_tail @ x_tail.T)

@@ -7,20 +7,13 @@ from ttsketch.eigensolver import (
     PAULI_Y,
     PAULI_Z,
     RayleighRitzConfig,
-    estimate_true_residual,
     ritz_solve,
     sketched_rayleigh_ritz,
     true_rayleigh_quotient,
     tto_heisenberg,
     tto_tfim,
 )
-from ttsketch.sketch import SketchSpec, make_sketch
-from ttsketch.tt import (
-    TensorTrain,
-    tt_norm,
-    tt_random,
-    tto_dense,
-)
+from ttsketch.tt import tto_dense
 
 
 def kron_chain(mats):
@@ -102,20 +95,6 @@ def test_true_rayleigh_quotient_eigenvector():
     from ttsketch.tt import tt_from_dense
     x = tt_from_dense(v[:, 0], (2,) * d)
     assert_allclose(true_rayleigh_quotient(op, x), w[0], atol=1e-10)
-
-
-def test_estimate_true_residual_eigenvector_is_zero():
-    d = 4
-    op = tto_tfim(d, J=1.0, g=1.5)
-    w, v = np.linalg.eigh(tto_dense(op))
-    from ttsketch.tt import tt_from_dense
-    x = tt_from_dense(v[:, 0], (2,) * d)
-    sk = make_sketch(SketchSpec("tts", (2,) * d, P=4, R=8, seed=0))
-    assert estimate_true_residual(op, x, w[0], sk) < 1e-10
-    # and it is comfortably nonzero for a random train
-    y = tt_random((2,) * d, (1, 2, 2, 2, 1), seed=1)
-    y = TensorTrain([c / tt_norm(y) ** (1.0 / d) for c in y.cores])
-    assert estimate_true_residual(op, y, w[0], sk) > 1e-3
 
 
 def test_sketched_rayleigh_ritz_small_tfim():

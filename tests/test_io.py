@@ -110,3 +110,75 @@ def test_read_fuzz_gives_train_or_value_error(tmp_path_factory, head, payload):
     except ValueError:
         return
     assert isinstance(x, TensorTrain)
+
+
+def _json_obj(field="real", dims=(2, 3), rank=2, seed=3):
+    ranks = (1,) + (rank,) * (len(dims) - 1) + (1,)
+    return ttio.tt_to_json_obj(tt_random(dims, ranks, field=field, seed=seed))
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("obj,key", [
+    ([], "object"),
+    (_without(_json_obj(), "cores"), "'cores'"),
+    (_without(_json_obj("complex"), "cores_im"), "'cores_im'"),
+    (dict(_json_obj("complex"), cores_im=_json_obj("complex")["cores_im"][:1]), "'cores_im'"),
+    (dict(_json_obj(), field="quaternion"), "'field'"),
+    (dict(_json_obj(), dims=[3, 2]), "'dims'"),
+    (dict(_json_obj(), ranks=[1, 3, 1]), "'ranks'"),
+    (dict(_json_obj(), cores=[[[[1.0]]], {"a": 1}]), "'cores'"),
+], ids=["not-object", "no-cores", "no-cores-im", "short-cores-im", "bad-field", "dims",
+        "ranks", "non-numeric-core"])
+def test_json_reader_errors_name_the_key(obj, key):
+    with pytest.raises(ValueError, match=key):
+        ttio.tt_from_json_obj(obj)
+
+
+def test_json_complex_payload_exact():
+    # re + 1j*im would turn 1+inf*j into nan+inf*j
+    core = np.array([complex(-0.0, 1.0), complex(1.0, np.inf)]).reshape(1, 2, 1)
+    x = ttio.tt_from_json_obj(ttio.tt_to_json_obj(TensorTrain([core])))
+    assert x.cores[0].tobytes() == core.tobytes()
+
+
+json_leaves = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+               | st.text(max_size=3))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12)
+# Core lists shaped like (r, n, r') nested lists of small sizes.
+core_lists = st.lists(st.lists(st.lists(st.lists(st.floats(-2, 2), min_size=1, max_size=2),
+                                        min_size=1, max_size=2),
+                               min_size=1, max_size=2), min_size=1, max_size=3)
+train_keys = {
+    "field": st.sampled_from(["real", "complex", "quaternion"]) | json_values,
+    "dims": st.lists(st.integers(1, 2), max_size=3) | json_values,
+    "ranks": st.lists(st.integers(1, 2), max_size=4) | json_values,
+    "cores": core_lists | json_values,
+    "cores_re": core_lists | json_values,
+    "cores_im": core_lists | json_values,
+}
+
+
+# Written trains, as they are or with one key replaced.
+train_objs = st.builds(_json_obj, st.sampled_from(["real", "complex"]),
+                       st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+                       st.integers(1, 3), st.integers(0, 9))
+edited_objs = st.tuples(train_objs, st.sampled_from(sorted(train_keys)),
+                        train_keys["cores"]).map(lambda t: dict(t[0], **{t[1]: t[2]}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(train_objs | edited_objs | st.fixed_dictionaries({}, optional=train_keys) | json_values)
+def test_json_reader_fuzz_gives_train_or_value_error(obj):
+    try:
+        x = ttio.tt_from_json_obj(obj)
+    except ValueError:
+        return
+    assert isinstance(x, TensorTrain)
+    assert ttio.tt_from_json_obj(ttio.tt_to_json_obj(x)).dims == x.dims

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import tt_evaluate
 from ttsketch.qtt import (
     DyadicGrid,
     hadamard_experiment_factors,
     qtt_cos_linear,
     qtt_exp_linear,
-    qtt_sin_linear,
 )
-from ttsketch.tt import tt_dense, tt_evaluate
+from ttsketch.tt import tt_dense
 
 
 def test_grid_layout():
@@ -98,13 +98,6 @@ def test_cos_linear_multivariable():
     dense = tt_dense(t).reshape(4, 4, 4)
     expect = grid_values(g, lambda x, y, z: np.cos(-0.1 + w * (x + y - 2 * z)))
     assert_allclose(dense, expect, atol=1e-12)
-
-
-def test_sin_from_cos():
-    g = DyadicGrid(4)
-    s = qtt_sin_linear(g, 0.0, [5.0])
-    assert_allclose(tt_dense(s).ravel(),
-                    grid_values(g, lambda x: np.sin(5 * x)).ravel(), atol=1e-12)
 
 
 def test_evaluate_matches_dense_entry():

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import oracle_dense, oracle_vector, rel_err
+from oracles import is_orthogonal, oracle_dense, oracle_vector, rel_err, stta_streams_add
 from ttsketch import tt
 from ttsketch.rounding import (
     STTASketchPair,
@@ -11,14 +13,12 @@ from ttsketch.rounding import (
     stta,
     stta_assemble,
     stta_streams,
-    stta_streams_add,
     tt_rand_round,
     tt_round,
 )
 from ttsketch.sketch import SketchSpec, make_sketch
 from ttsketch.tt import (
     TensorTrain,
-    is_orthogonal,
     tt_dense,
     tt_linear_combination,
     tt_norm,
@@ -126,6 +126,19 @@ def test_rand_round_oversampled_sketch():
     sk = make_sketch(SketchSpec("tts", DIMS, P=3, R=4, seed=2))
     y = tt_rand_round(inflate(x), 3, sk=sk)
     assert err(y, x) < 1e-10
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (4, 3, 2)])
+def test_rand_round_ranks_within_tail_size(dims):
+    # Every bond of x is 4, above the tail size prod(dims[k:]) near the end;
+    # the rounded ranks must be feasible, by the default sketch and by an
+    # oversampled one alike.
+    d = len(dims)
+    x = tt_random(dims, (1,) + (4,) * (d - 1) + (1,), seed=21)
+    for sk in (None, make_sketch(SketchSpec("tts", dims, P=3, R=4, seed=4))):
+        y = tt_rand_round(x, 4, sk=sk)
+        assert all(y.ranks[k] <= math.prod(dims[k:]) for k in range(1, d))
+        assert err(y, x) < 1e-10
 
 
 def test_rand_round_accepts_precomputed_partials():

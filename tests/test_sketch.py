@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import oracle_dense
+from oracles import block_tt_view, oracle_dense
 from ttsketch.sketch import (
     KR_BASES,
     VARIANTS,
     SketchSpec,
-    block_tt_view,
     make_sketch,
     sketch_dense,
     stiefel_sample,
@@ -33,6 +32,8 @@ def test_spec_validation():
         SketchSpec("tts", (2, 2), field="quaternion")
     with pytest.raises(ValueError, match="seed"):
         SketchSpec("tts", (2, 2), seed=-1)
+    with pytest.raises(ValueError, match="base"):
+        SketchSpec("tts", (2, 2), base="rademacher")
 
 
 def test_bond_patterns():
@@ -109,8 +110,7 @@ def test_json_spec_fuzz_gives_spec_or_value_error(obj):
         spec = SketchSpec.from_json_obj(obj)
     except ValueError:
         return
-    # to_json_obj leaves out ``base`` where the variant does not use it
-    assert SketchSpec.from_json(spec.to_json()).to_json() == spec.to_json()
+    assert SketchSpec.from_json_obj(spec.to_json_obj()) == spec
 
 
 def test_determinism_and_seed_sensitivity():

@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import oracle_dense, oracle_entry, oracle_vector, rel_err
+from oracles import (
+    is_orthogonal, oracle_dense, oracle_entry, oracle_vector, rel_err, tt_evaluate,
+)
 from ttsketch.tt import (
     TensorTrain,
     TTOperator,
-    core_unfold_left,
-    core_unfold_right,
-    is_orthogonal,
     rng_for,
     tt_dense,
-    tt_evaluate,
     tt_feasible_ranks,
     tt_from_dense,
     tt_gram,
@@ -26,7 +24,6 @@ from ttsketch.tt import (
     tt_scale,
     tto_apply_assemble,
     tto_dense,
-    unfold,
 )
 
 
@@ -70,17 +67,6 @@ def test_dense_cap():
     x = tt_random((4,) * 12, (1,) + (2,) * 11 + (1,), seed=0)
     with pytest.raises(ValueError, match="cap"):
         tt_dense(x)
-
-
-def test_unfold_row_major():
-    a = np.arange(24.0)
-    m = unfold(a, (2, 3, 4), 1)
-    assert m.shape == (2, 12)
-    # row-major: first mode is the slowest index
-    assert m[1, 0] == a[12]
-    m2 = unfold(a, (2, 3, 4), 2)
-    assert m2.shape == (6, 4)
-    assert m2[4, 1] == a[4 * 4 + 1]
 
 
 def test_strong_kron_unfolding_identity(rng):
@@ -188,11 +174,11 @@ def test_orthogonality_check_definitions(rng):
     x = random_tt(rng, (2, 3, 2), (1, 2, 3, 1))
     y = tt_orthogonalize(x, "right")
     for c in y.cores[1:]:
-        m = core_unfold_right(c)
+        m = c.reshape(c.shape[0], -1)
         assert np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() < 1e-12
     z = tt_orthogonalize(x, "left")
     for c in z.cores[:-1]:
-        m = core_unfold_left(c)
+        m = c.reshape(-1, c.shape[2])
         assert np.abs(m.conj().T @ m - np.eye(m.shape[1])).max() < 1e-12
 
 
