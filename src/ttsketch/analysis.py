@@ -10,7 +10,7 @@ import numpy as np
 
 from .contract import partial_contractions
 from .sketch import SketchSpec, make_sketch, sketch_dense
-from .tt import STREAM_EXPERIMENT, gaussian, rng_for, tt_gram, tt_norm
+from .tt import STREAM_EXPERIMENT, _stacked_train, gaussian, rng_for, tt_gram, tt_norm
 
 MAX_SUBSET_MODES = 16
 
@@ -261,19 +261,24 @@ def empirical_spectrum(basis, sk):
     """Extreme eigenvalues of the whitened Gram of the sketched basis.
 
     The basis Gram matrix is computed exactly through train contractions, so
-    the basis need not be orthonormal and nothing is densified.
+    the basis need not be orthonormal and nothing is densified.  All r
+    sketch columns come from one sweep: W_1 of the r trains stacked as one
+    block train with left boundary rank r.  The eigenvalues are the squared
+    singular values of the whitened sketch, so they are never negative and
+    the smallest is accurate to round-off relative to the product of the
+    extreme singular values, not to the largest eigenvalue.  With fewer
+    sketch rows than basis vectors the smallest is exactly 0.
     """
-    cols = [partial_contractions(sk, v).vector() for v in basis]
-    m = np.stack(cols, axis=1)
+    m = partial_contractions(sk, _stacked_train(basis)).Ws[0]
     gram = tt_gram(basis)
     w, u = np.linalg.eigh((gram + gram.conj().T) / 2)
     w = np.maximum(w, 0)
     if w[-1] == 0:
         raise ValueError("degenerate basis")
     inv_sqrt = u @ np.diag(1.0 / np.sqrt(np.maximum(w, w[-1] * 1e-14))) @ u.conj().T
-    a = inv_sqrt @ (m.conj().T @ m) @ inv_sqrt
-    ev = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    return float(ev[0]), float(ev[-1])
+    s = np.linalg.svd(m @ inv_sqrt, compute_uv=False)
+    lo = s[-1] ** 2 if len(s) == len(basis) else 0.0
+    return float(lo), float(s[0] ** 2)
 
 
 def isotropy_samples(spec, x, nsamples, seed=0):

@@ -100,6 +100,12 @@ CONFIGS = {
     "gamma_table": {"d": (int, 6), "R": (int, 4), "field": (FIELDS, "real")},
 }
 
+# (low, high) bounds of int keys beyond positivity; None leaves a side open.
+BOUNDS = {
+    "gamma_table": {"d": (1, analysis.MAX_SUBSET_MODES)},
+    "eigensolve": {"d": (2, None)},
+}
+
 
 def _typed(key, kind, v):
     """``v`` checked against a table type; ints are widened for floats."""
@@ -133,8 +139,10 @@ def _variant_spec(entry, cfg, seed):
 def _config(name, cfg):
     """The full config of experiment ``name``, defaults filled in.
 
-    ValueError names an unknown key, a value of the wrong type, or a bad
-    ``variants`` entry.  A full config passes through unchanged.
+    ValueError names an unknown key, a value of the wrong type or outside
+    its ``BOUNDS``, a bad ``variants`` entry, or a kron basis with more
+    vectors r than index tuples n**d.  A full config passes through
+    unchanged.
     """
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
@@ -144,6 +152,10 @@ def _config(name, cfg):
             raise ValueError("unknown config key %r for %s" % (key, name))
     out = {key: _typed(key, kind, cfg[key]) if key in cfg else default
            for key, (kind, default) in table.items()}
+    for key, (lo, hi) in BOUNDS.get(name, {}).items():
+        if out[key] < lo or hi is not None and out[key] > hi:
+            raise ValueError("config %r = %d is outside [%d, %s]"
+                             % (key, out[key], lo, "inf" if hi is None else hi))
     if name == "hadamard" and out["PR"] is None:
         out["PR"] = 2 * out["target_rank"]
     if name == "embed_quality":
@@ -153,11 +165,16 @@ def _config(name, cfg):
                                {"variant": "tts", "P": 2, "R": r}]
         for entry in out["variants"]:
             _variant_spec(entry, out, 0)
+        if out["basis"] == "kron" and out["r"] > out["n"] ** out["d"]:
+            raise ValueError("config 'r' = %d exceeds the n**d = %d index tuples of the kron basis"
+                             % (out["r"], out["n"] ** out["d"]))
     return out
 
 
 def _kron_basis(d, n, r, seed):
     """r orthonormal rank-1 trains on distinct Kronecker index tuples."""
+    if r > n ** d:
+        raise ValueError("r = %d exceeds the n**d = %d distinct index tuples" % (r, n ** d))
     rng = rng_for(seed, STREAM_EXPERIMENT, 7, 0)
     seen = set()
     basis = []

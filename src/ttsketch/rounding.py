@@ -18,7 +18,7 @@ import numpy as np
 
 from .contract import partial_contractions
 from .sketch import SketchSpec, make_sketch
-from .tt import STREAM_STTA_LEFT, TensorTrain, _left_sweep, gaussian, rng_for, tt_orthogonalize
+from .tt import STREAM_STTA_LEFT, TensorTrain, _left_sweep, _rngs_for, gaussian, tt_orthogonalize
 
 
 def _rank_list(ranks, d):
@@ -130,14 +130,9 @@ def left_gaussian_chain(dims, bonds, field, seed, stream=STREAM_STTA_LEFT):
     Entry variance is one over the left bond, mirroring the right-oriented
     Gaussian chains.
     """
-    cores = []
-    for k in range(len(dims)):
-        rng = rng_for(seed, stream, 0, k)
-        var = 1.0 / bonds[k]
-        cores.append(
-            gaussian(rng, (bonds[k], dims[k], bonds[k + 1]), field, scale=np.sqrt(var))
-        )
-    return cores
+    rngs = _rngs_for(seed, stream, [0], range(len(dims)))
+    return [gaussian(rng, (bonds[k], dims[k], bonds[k + 1]), field, scale=np.sqrt(1.0 / bonds[k]))
+            for k, rng in enumerate(rngs)]
 
 
 class STTASketchPair:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .tt import STREAM_SKETCH, gaussian, rng_for
+from .tt import STREAM_SKETCH, _rngs_for, gaussian
 
 VARIANTS = ("tts", "otts", "khatri_rao", "gaussian_tt", "f_tt_r")
 KR_BASES = ("gaussian", "rademacher", "spherical")
@@ -168,34 +168,56 @@ def stiefel_sample(rng, rows, cols, field):
     return q.conj().T
 
 
-def _block_cores(spec, j):
-    dims = spec.dims
-    d = len(dims)
+def _core(spec, rng, shape):
+    """One block's core of the variants not drawn by ``_gaussian_stack``."""
+    if spec.variant == "otts":
+        m = stiefel_sample(rng, shape[0], shape[1] * shape[2], spec.field)
+        return m.reshape(shape) * np.sqrt(shape[2] * shape[1] / shape[0])
+    if spec.base == "rademacher":
+        c = rng.choice([-1.0, 1.0], size=shape)
+        return c.astype(complex) if spec.field == "complex" else c
+    # khatri_rao spherical: Gaussian row rescaled to norm sqrt(n_k)
+    g = gaussian(rng, shape, spec.field)
+    return g * (np.sqrt(shape[1]) / np.linalg.norm(g))
+
+
+def _gaussian_stack(rngs, count, shape, field, scale):
+    """``gaussian(rng, shape, field, scale)`` for the next ``count`` streams,
+    stacked; each stream fills its block in place and the scaling is one
+    product over the stack."""
+    if field == "complex":
+        z = np.empty((count, 2) + shape)
+        for zi, rng in zip(z, rngs):
+            rng.standard_normal(out=zi)
+        return scale / np.sqrt(2.0) * (z[:, 0] + 1j * z[:, 1])
+    z = np.empty((count,) + shape)
+    for zi, rng in zip(z, rngs):
+        rng.standard_normal(out=zi)
+    return scale * z
+
+
+def _block_cores(spec, blocks):
+    """Stacked cores of the listed blocks: entry k is (len(blocks), l_k, n_k, l_{k+1}).
+
+    Core k of block j is drawn from stream (j, k); the streams of all cores
+    are seeded in one pass.
+    """
+    d = len(spec.dims)
     pat = spec.bond_pattern()
+    rngs = _rngs_for(spec.seed, STREAM_SKETCH, blocks, range(d))
     cores = []
-    for k in range(d):
-        rng = rng_for(spec.seed, STREAM_SKETCH, j, k)
-        shape = (pat[k], dims[k], pat[k + 1])
-        if spec.variant == "otts":
-            m = stiefel_sample(rng, pat[k], dims[k] * pat[k + 1], spec.field)
-            c = m.reshape(shape) * np.sqrt(pat[k + 1] * dims[k] / pat[k])
-        elif spec.variant == "khatri_rao":
-            if spec.base == "gaussian":
-                c = gaussian(rng, shape, spec.field)
-            elif spec.base == "rademacher":
-                c = rng.choice([-1.0, 1.0], size=shape)
-                if spec.field == "complex":
-                    c = c.astype(complex)
-            else:  # spherical: Gaussian row rescaled to norm sqrt(n_k)
-                g = gaussian(rng, shape, spec.field)
-                c = g * (np.sqrt(dims[k]) / np.linalg.norm(g))
+    for k, n in enumerate(spec.dims):
+        shape = (pat[k], n, pat[k + 1])
+        if spec.variant == "otts" or spec.base != "gaussian":
+            cores.append(np.stack([_core(spec, rng, shape) for _, rng in zip(blocks, rngs)]))
+            continue
+        if spec.variant == "khatri_rao":
+            var = 1.0
         elif spec.variant == "f_tt_r":
             var = 1.0 / np.sqrt(spec.R) if k in (0, d - 1) else 1.0 / spec.R
-            c = gaussian(rng, shape, spec.field, scale=np.sqrt(var))
         else:  # tts / gaussian_tt: variance is one over the left bond
             var = 1.0 / (spec.R if spec.variant == "tts" else pat[k])
-            c = gaussian(rng, shape, spec.field, scale=np.sqrt(var))
-        cores.append(c)
+        cores.append(_gaussian_stack(rngs, len(blocks), shape, spec.field, np.sqrt(var)))
     return cores
 
 
@@ -205,17 +227,19 @@ class RealizedSketch:
 
     ``cores[k]`` has shape (P, l_k, n_k, l_{k+1}): every variant draws
     blocks of one common shape.  ``blocks[j][k]`` is a view of
-    ``cores[k][j]``, so both layouts share one copy of the draws.
+    ``cores[k][j]``, so both layouts share one copy of the draws.  Give
+    either the per-block cores or the stacked ones.
     """
 
     spec: SketchSpec
     blocks: list = dc_field(repr=False, default=None)
     scale: float = 1.0
-    cores: list = dc_field(init=False, repr=False)
+    cores: list = dc_field(repr=False, default=None)
 
     def __post_init__(self):
-        self.cores = [np.stack(per_core) for per_core in zip(*self.blocks)]
-        self.blocks = [[c[j] for c in self.cores] for j in range(len(self.blocks))]
+        if self.cores is None:
+            self.cores = [np.stack(per_core) for per_core in zip(*self.blocks)]
+        self.blocks = [[c[j] for c in self.cores] for j in range(len(self.cores[0]))]
 
     @property
     def rows(self):
@@ -232,9 +256,9 @@ def make_sketch(spec):
     already accounts for the block average, so its stored scale is 1.
     """
     if spec.variant == "otts":
-        return RealizedSketch(spec=spec, blocks=[_block_cores(spec, 0)], scale=1.0)
-    blocks = [_block_cores(spec, j) for j in range(spec.P)]
-    return RealizedSketch(spec=spec, blocks=blocks, scale=1.0 / np.sqrt(spec.P))
+        return RealizedSketch(spec=spec, cores=_block_cores(spec, range(1)), scale=1.0)
+    return RealizedSketch(spec=spec, cores=_block_cores(spec, range(spec.P)),
+                          scale=1.0 / np.sqrt(spec.P))
 
 
 def sketch_dense(sk, max_entries=2 ** 24):

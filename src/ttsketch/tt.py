@@ -9,6 +9,8 @@ All index linearizations are row-major (C order): the first mode varies
 slowest.  Inner products are conjugate-linear in the first argument.
 """
 
+import functools
+
 import numpy as np
 
 # Refuse to densify anything larger than this many entries.
@@ -33,6 +35,138 @@ def rng_for(seed, stream, *path):
         raise ValueError("seed must be non-negative, got %d" % seed)
     key = [seed & 0xFFFFFFFF, int(stream)] + [int(p) for p in path]
     return np.random.default_rng(np.random.SeedSequence(key))
+
+
+# SeedSequence's hash (numpy.random.bit_generator; numpy documents its output
+# as stable).
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Fewer paths than this are seeded one SeedSequence at a time, which is
+# cheaper than the fixed cost of the batch hash.
+_BATCH_MIN = 3
+
+
+def _hash_steps(init, mult, count):
+    """(xor, multiplier) of SeedSequence's successive hashmix calls."""
+    xs = [init]
+    for _ in range(count - 1):
+        xs.append(xs[-1] * mult & _M32)
+    return [(x, x * mult & _M32) for x in xs]
+
+
+@functools.lru_cache(maxsize=8)
+def _hash_constants(n):
+    """The hash's constants as uint32 arrays for a (4, n) pool.
+
+    Entry 0 holds the first hashmix of the four pool words.  Entry 1 + s
+    holds the round of source word s at the rows of the three words it
+    mixes into (row s is unused).  Entry 5 holds the hashmix of the eight
+    output words; then come the shift and the two mix multipliers.  Widths
+    up to 256 are tiled out, because numpy broadcasting costs more than the
+    arithmetic on a few keys; wider pools broadcast single columns.
+    """
+    a, b = _hash_steps(_INIT_A, _MULT_A, 16), _hash_steps(_INIT_B, _MULT_B, 8)
+    rounds = [a[:4]]
+    for s in range(4):
+        steps = iter(a[4 + 3 * s:7 + 3 * s])
+        rounds.append([(0, 0) if r == s else next(steps) for r in range(4)])
+    rounds.append(b)
+    width = n if n <= 256 else 1
+
+    def col(values):
+        out = np.tile(np.array(values, dtype=np.uint32)[:, None], (1, width))
+        out.flags.writeable = False  # shared by every call of this width
+        return out
+
+    return ([(col([x for x, _ in r]), col([m for _, m in r])) for r in rounds]
+            + [col([16] * 8), col([_MIX_L] * 4), col([_MIX_R] * 4)])
+
+
+def _seed_words(seed, stream, js, ks):
+    """SeedSequence([seed, stream, j, k]).generate_state(8) per key, (8, n).
+
+    ``js`` and ``ks`` are uint32 arrays of length n.  The four pool words of
+    all keys are hashed as one (4, n) array: in the mixing round of source
+    word s every row is mixed with the hash of row s, and row s then gets
+    its old value back.
+    """
+    *rounds, shift, mix_l, mix_r = _hash_constants(len(js))
+    pool = np.empty((4, len(js)), dtype=np.uint32)
+    pool[0], pool[1], pool[2], pool[3] = seed, stream, js, ks
+    x, m = rounds[0]
+    pool ^= x
+    pool *= m
+    pool ^= pool >> shift[:4]
+    for s, (x, m) in enumerate(rounds[1:5]):
+        src = pool[s].copy()
+        h = src ^ x
+        h *= m
+        h ^= h >> shift[:4]
+        h *= mix_r
+        pool *= mix_l
+        pool -= h
+        pool ^= pool >> shift[:4]
+        pool[s] = src
+    x, m = rounds[5]
+    out = np.concatenate([pool, pool])
+    out ^= x
+    out *= m
+    out ^= out >> shift
+    return out
+
+
+@functools.cache
+def _seed_words_type():
+    """A SeedSequence stand-in for PCG64 that holds its four words.
+
+    PCG64 asks its seed sequence for ``generate_state(4, uint64)`` alone
+    and derives its state from those words, so a PCG64 built on the words
+    of a SeedSequence equals one built on the SeedSequence.  The class is
+    made on first use, because importing numpy.random costs more than
+    importing this package.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("only the four uint64 words PCG64 asks for are stored")
+            # PCG64 reads the words through a raw pointer.
+            return np.ascontiguousarray(self.words, dtype=np.uint64)
+
+    return SeedWords
+
+
+def _rngs_for(seed, stream, blocks, cores):
+    """Generators for the paths (j, k), k in ``cores`` outer and j in
+    ``blocks`` inner, each equal draw for draw to ``rng_for(seed, stream,
+    j, k)``.
+
+    The keys of all paths are hashed in one vectorized pass; each path's
+    PCG64 is then built from its precomputed words.
+    """
+    seed, stream = int(seed), int(stream)
+    if seed < 0:
+        raise ValueError("seed must be non-negative, got %d" % seed)
+    blocks, cores = [int(j) for j in blocks], [int(k) for k in cores]
+    entries = [stream] + blocks + cores
+    if not 0 <= min(entries) <= max(entries) <= _M32:
+        # SeedSequence would split such an entry into two words.
+        raise ValueError("stream tag and path entries must lie in [0, 2**32)")
+    if len(blocks) * len(cores) < _BATCH_MIN:
+        return (rng_for(seed, stream, j, k) for k in cores for j in blocks)
+    js = np.array(blocks * len(cores), dtype=np.uint32)
+    ks = np.array([k for k in cores for _ in blocks], dtype=np.uint32)
+    # Word pairs (2i, 2i + 1) make uint64 word i, as in generate_state.
+    words = _seed_words(seed & _M32, stream, js, ks)
+    words = np.ascontiguousarray(words.T, dtype="<u4").view("<u8")
+    seed_words = _seed_words_type()
+    return (np.random.Generator(np.random.PCG64(seed_words(w))) for w in words)
 
 
 def gaussian(rng, shape, field, scale=1.0):
@@ -84,7 +218,7 @@ class TensorTrain:
 
     @property
     def is_block(self):
-        return self.ranks[0] != 1 or self.ranks[-1] != 1
+        return self.cores[0].shape[0] != 1 or self.cores[-1].shape[2] != 1
 
     def copy(self):
         return TensorTrain([c.copy() for c in self.cores])
@@ -258,6 +392,13 @@ def _common_dims(trains, what):
 
 def _block_diagonal_core(blocks, dtype):
     """Core with the (r1_j, n, r2_j) blocks on its slice-wise diagonal."""
+    if len({b.shape for b in blocks}) == 1:
+        # Equal blocks go in with one assignment through a (J, a, n, J, c) view.
+        (a, n, c), count = blocks[0].shape, len(blocks)
+        core = np.zeros((count, a, n, count, c), dtype=dtype)
+        j = np.arange(count)
+        core[j, :, :, j, :] = blocks
+        return core.reshape(count * a, n, count * c)
     r1 = sum(b.shape[0] for b in blocks)
     r2 = sum(b.shape[2] for b in blocks)
     core = np.zeros((r1, blocks[0].shape[1], r2), dtype=dtype)
@@ -267,6 +408,18 @@ def _block_diagonal_core(blocks, dtype):
         o1 += b.shape[0]
         o2 += b.shape[2]
     return core
+
+
+def _stacked_train(trains):
+    """Plain trains with common dims as one block train of left boundary
+    rank r: every core but the last block diagonal, the last cores stacked
+    along their left bond.  Its row i (left boundary index) is train i."""
+    dims = _common_dims(trains, "stack")
+    dtype = np.result_type(*(c.dtype for t in trains for c in t.cores))
+    cores = [_block_diagonal_core([t.cores[k] for t in trains], dtype)
+             for k in range(len(dims) - 1)]
+    cores.append(np.concatenate([t.cores[-1] for t in trains], axis=0).astype(dtype, copy=False))
+    return TensorTrain(cores)
 
 
 def tt_linear_combination(terms, coefficients):
@@ -326,11 +479,9 @@ def tt_random(dims, ranks, field="real", seed=0, stream=STREAM_TT):
     ranks = tuple(ranks)
     if len(ranks) != d + 1:
         raise ValueError("need d+1 ranks")
-    cores = []
-    for k in range(d):
-        rng = rng_for(seed, stream, 0, k)
-        cores.append(gaussian(rng, (ranks[k], dims[k], ranks[k + 1]), field))
-    return TensorTrain(cores)
+    rngs = _rngs_for(seed, stream, [0], range(d))
+    return TensorTrain([gaussian(rng, (ranks[k], dims[k], ranks[k + 1]), field)
+                        for k, rng in enumerate(rngs)])
 
 
 def tt_feasible_ranks(dims, r):

@@ -313,14 +313,20 @@ def test_empirical_spectrum_brackets_one_for_tts():
     assert lo < 1.6 and hi > 0.4
 
 
-@pytest.mark.parametrize("P,R", [(32, 1), (2, 16), (2, 80)])
-def test_empirical_spectrum_kron_basis_d40(P, R):
+@pytest.mark.parametrize("P,R,basis_seed,sketch_seed", [
+    (32, 1, 0, 1000), (2, 16, 0, 16000), (2, 80, 0, 80000),
+    # a rank-deficient sketch whose sigma_min^2 used to read -3.8e-15
+    # (pass 202 of the embed_kron benchmark at seed 501)
+    (32, 1, 501202, 501202 * 1000003),
+    # fewer sketch rows (8) than basis vectors
+    (2, 4, 0, 4000)], ids=["32-1", "2-16", "2-80", "32-1-rank-deficient", "2-4-few-rows"])
+def test_empirical_spectrum_kron_basis_d40(P, R, basis_seed, sketch_seed):
     # criterion 07's setting: r = 16 unit vectors on distinct index tuples
     # at d = 40, far too large to densify.  Each sketched column is rebuilt
     # entry by entry from the realized block cores; the basis Gram is the
     # identity, so the spectrum is that of M^T M.
     d, n, r = 40, 4, 16
-    basis = _kron_basis(d, n, r, seed=0)
+    basis = _kron_basis(d, n, r, seed=basis_seed)
     tuples = []
     for v in basis:
         idx = tuple(int(np.argmax(c[0, :, 0])) for c in v.cores)
@@ -328,7 +334,7 @@ def test_empirical_spectrum_kron_basis_d40(P, R):
             assert np.array_equal(c, np.eye(n)[i].reshape(1, n, 1))
         tuples.append(idx)
     assert len(set(tuples)) == r
-    sk = make_sketch(SketchSpec("tts", (n,) * d, P=P, R=R, seed=1000 * R))
+    sk = make_sketch(SketchSpec("tts", (n,) * d, P=P, R=R, seed=sketch_seed))
     assert len(sk.blocks) == P
     m = np.stack([
         np.concatenate([oracle_entry(block, idx)[:, 0] for block in sk.blocks])
@@ -336,6 +342,7 @@ def test_empirical_spectrum_kron_basis_d40(P, R):
     assert m.shape == (P * R, r)
     ev = np.linalg.eigvalsh(m.T @ m)
     lo, hi = empirical_spectrum(basis, sk)
+    assert 0 <= lo <= hi
     assert_allclose(hi, ev[-1], rtol=1e-10)
     assert_allclose(lo, ev[0], rtol=1e-10, atol=1e-12 * ev[-1])
 

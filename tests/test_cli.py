@@ -2,11 +2,14 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import ttsketch
 from ttsketch.cli import CONFIGS, EXPERIMENTS, _config, main, synthetic_lowrank_plus_noise
 from ttsketch.io import write_tt
 from ttsketch.tt import tt_dense, tt_norm, tt_random
@@ -140,8 +143,11 @@ BAD_CONFIGS = [
     ("embed_quality", {"variants": [{"variant": "tts", "P": 2, "seed": 1}]}, "'seed': 1}"),
     ("gamma_table", {"d": True}, "config 'd'"),
     ("verify_moments", {"fields": ["real", "quaternion"]}, "config 'fields'"),
+    ("gamma_table", {"d": 17}, "config 'd'"),
+    ("eigensolve", {"d": 1}, "config 'd'"),
 ]
-BAD_IDS = ["unknown-key", "float-int", "model", "null-P", "variant-key", "bool-int", "fields"]
+BAD_IDS = ["unknown-key", "float-int", "model", "null-P", "variant-key", "bool-int", "fields",
+           "gamma-d-cap", "eigensolve-one-site"]
 
 
 @pytest.mark.parametrize("name,cfg,named", BAD_CONFIGS, ids=BAD_IDS)
@@ -164,6 +170,31 @@ def test_bad_eigensolve_flag_exits_2(tmp_path, capsys):
         main(["eigensolve", "--model", "bogus", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "'model'" in capsys.readouterr().err
+
+
+def test_one_site_eigensolve_flag_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eigensolve", "--d", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "'d'" in capsys.readouterr().err
+
+
+def test_kron_basis_wider_than_the_space_fails_fast(tmp_path):
+    # r = 5 > n**d = 4 distinct index tuples: the basis draw used to loop
+    # forever, so both calls run in a child with a timeout.
+    src = os.path.dirname(os.path.dirname(ttsketch.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "from ttsketch.cli import _kron_basis; _kron_basis(2, 2, 5, seed=0)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1 and "ValueError: r = 5" in proc.stderr
+    cfg = write_cfg(tmp_path / "cfg.json", {"d": 2, "n": 2, "r": 5, "trials": 1})
+    proc = subprocess.run([sys.executable, "-m", "ttsketch.cli", "embed_quality", "--config",
+                           cfg, "--out", str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2 and "config 'r'" in proc.stderr
+    assert _config("embed_quality", {"d": 2, "n": 2, "r": 4})["r"] == 4
+    assert _config("embed_quality", {"d": 2, "n": 2, "r": 5, "basis": "tt"})["r"] == 5
 
 
 def test_config_defaults_and_widening():

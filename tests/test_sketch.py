@@ -14,7 +14,7 @@ from ttsketch.sketch import (
     sketch_dense,
     stiefel_sample,
 )
-from ttsketch.tt import rng_for
+from ttsketch.tt import STREAM_SKETCH, gaussian, rng_for
 
 
 def test_spec_validation():
@@ -129,7 +129,7 @@ def test_blocks_independent_of_generation_order():
     spec = SketchSpec("tts", (2, 2), P=3, R=2, seed=1)
     sk = make_sketch(spec)
     from ttsketch.sketch import _block_cores
-    solo = _block_cores(spec, 1)
+    solo = [c[0] for c in _block_cores(spec, [1])]
     for ca, cb in zip(sk.blocks[1], solo):
         assert np.array_equal(ca, cb)
 
@@ -153,6 +153,53 @@ def test_stacked_blocks_keep_the_pinned_draws(variant, kw, digest):
             assert np.array_equal(c, sk.cores[k][j])
             h.update(np.ascontiguousarray(c).tobytes())
     assert h.hexdigest()[:16] == digest
+
+
+def reference_block(spec, j):
+    """Block j drawn core by core, each core from its own rng_for stream."""
+    dims, pat, d = spec.dims, spec.bond_pattern(), len(spec.dims)
+    cores = []
+    for k in range(d):
+        rng = rng_for(spec.seed, STREAM_SKETCH, j, k)
+        shape = (pat[k], dims[k], pat[k + 1])
+        if spec.variant == "otts":
+            m = stiefel_sample(rng, pat[k], dims[k] * pat[k + 1], spec.field)
+            c = m.reshape(shape) * np.sqrt(pat[k + 1] * dims[k] / pat[k])
+        elif spec.variant == "khatri_rao" and spec.base == "rademacher":
+            c = rng.choice([-1.0, 1.0], size=shape).astype(
+                complex if spec.field == "complex" else float)
+        elif spec.variant == "khatri_rao":
+            c = gaussian(rng, shape, spec.field)
+            if spec.base == "spherical":
+                c = c * (np.sqrt(dims[k]) / np.linalg.norm(c))
+        elif spec.variant == "f_tt_r":
+            var = 1.0 / np.sqrt(spec.R) if k in (0, d - 1) else 1.0 / spec.R
+            c = gaussian(rng, shape, spec.field, scale=np.sqrt(var))
+        else:
+            var = 1.0 / (spec.R if spec.variant == "tts" else pat[k])
+            c = gaussian(rng, shape, spec.field, scale=np.sqrt(var))
+        cores.append(c)
+    return cores
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("variant,kw", [
+    ("tts", dict(P=5, R=3)), ("otts", dict(P=2, R=3)),
+    ("khatri_rao", dict(P=4)), ("khatri_rao", dict(P=3, base="rademacher")),
+    ("khatri_rao", dict(P=3, base="spherical")),
+    ("gaussian_tt", dict(R=4, ranks=(4, 3, 2, 2, 1))), ("f_tt_r", dict(P=3, R=2)),
+    ("tts", dict(P=2, R=2, seed=2 ** 32 + 9)),
+], ids=["tts", "otts", "kr", "kr-rademacher", "kr-spherical", "gaussian_tt", "f_tt_r",
+        "tts-wide-seed"])
+def test_sketch_draws_match_per_core_streams(variant, kw, field):
+    kw = dict(dict(seed=7), **kw)
+    spec = SketchSpec(variant, (2, 3, 2, 2), field=field, **kw)
+    sk = make_sketch(spec)
+    for j, block in enumerate(sk.blocks):
+        for c, ref in zip(block, reference_block(spec, j)):
+            assert c.dtype == ref.dtype and c.shape == ref.shape
+            assert np.array_equal(c, ref)
+    assert len(sk.blocks) == (1 if variant == "otts" else spec.P)
 
 
 def test_tts_entry_variance():

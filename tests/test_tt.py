@@ -7,8 +7,14 @@ from oracles import (
     is_orthogonal, oracle_dense, oracle_entry, oracle_vector, rel_err, tt_evaluate,
 )
 from ttsketch.tt import (
+    STREAM_EXPERIMENT,
+    STREAM_SKETCH,
+    STREAM_STTA_LEFT,
+    STREAM_TT,
     TensorTrain,
     TTOperator,
+    _rngs_for,
+    _stacked_train,
     rng_for,
     tt_dense,
     tt_feasible_ranks,
@@ -248,6 +254,73 @@ def test_negative_seed_rejected():
         rng_for(-1, 1, 0)
     with pytest.raises(ValueError, match="seed"):
         tt_random((2, 2), (1, 2, 1), seed=-1)
+
+
+def same_draws(a, b):
+    """Both generators give the same raw words, then the same normals."""
+    return (np.array_equal(a.bit_generator.random_raw(3), b.bit_generator.random_raw(3))
+            and np.array_equal(a.standard_normal(4), b.standard_normal(4)))
+
+
+STREAMS = [STREAM_TT, STREAM_SKETCH, STREAM_STTA_LEFT, STREAM_EXPERIMENT]
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32 + 5, 10 ** 12])
+def test_batched_streams_match_rng_for(seed, stream):
+    # Seeds of 2**32 and above are masked to their low 32 bits by both.
+    blocks, cores = [0, 1, 2, 593, 1186], [0, 1, 30, 59]
+    got = _rngs_for(seed, stream, blocks, cores)
+    for k in cores:
+        for j in blocks:
+            assert same_draws(next(got), rng_for(seed, stream, j, k)), (j, k)
+    assert next(got, None) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 40), stream=st.integers(0, 2 ** 32 - 1),
+       blocks=st.lists(st.integers(0, 2 ** 32 - 1), min_size=0, max_size=5),
+       cores=st.lists(st.integers(0, 2 ** 32 - 1), min_size=0, max_size=4))
+def test_batched_streams_match_rng_for_fuzz(seed, stream, blocks, cores):
+    # Covers both sides of the batch threshold, empty grids and edge words.
+    paths = [(j, k) for k in cores for j in blocks]
+    got = _rngs_for(seed, stream, blocks, cores)
+    for j, k in paths:
+        assert same_draws(next(got), rng_for(seed, stream, j, k))
+    assert next(got, None) is None
+
+
+@pytest.mark.parametrize("blocks,cores,stream", [
+    ([2 ** 32], [0], 2), ([0, 1], [0, 2 ** 32 + 1], 2), ([-1], [0, 1, 2], 2),
+    ([0], [0, 1, 2], 2 ** 32), ([0], [0, 1, 2], -1)])
+def test_batched_streams_reject_wide_entries(blocks, cores, stream):
+    # SeedSequence splits an entry of 2**32 or more into two words, so the
+    # four-word hash would no longer be the stream of rng_for.
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _rngs_for(0, stream, blocks, cores)
+    with pytest.raises(ValueError, match="seed"):
+        _rngs_for(-1, 1, [0, 1, 2], [0])
+
+
+def test_batched_streams_interleave():
+    # Two batches consumed in lockstep each keep their own generator.
+    a = _rngs_for(3, STREAM_TT, range(4), [0])
+    b = _rngs_for(4, STREAM_TT, range(4), [0])
+    for j, (ra, rb) in enumerate(zip(a, b)):
+        assert same_draws(ra, rng_for(3, STREAM_TT, j, 0))
+        assert same_draws(rb, rng_for(4, STREAM_TT, j, 0))
+
+
+def test_stacked_train_rows_are_the_trains():
+    trains = [tt_random((2, 3, 2), r, seed=s) for s, r in
+              enumerate([(1, 2, 2, 1), (1, 1, 3, 1), (1, 2, 1, 1)])]
+    stacked = _stacked_train(trains)
+    assert stacked.ranks[0] == 3 and stacked.ranks[-1] == 1
+    dense = tt_dense(stacked)
+    for i, t in enumerate(trains):
+        assert_allclose(dense[i], tt_dense(t), rtol=1e-14, atol=1e-15)
+    one = _stacked_train([tt_random((4,), (1, 1), seed=1)] * 2)
+    assert tt_dense(one).shape == (2, 4)
 
 
 def test_feasible_ranks_capped():
