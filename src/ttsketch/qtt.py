@@ -38,26 +38,6 @@ class DyadicGrid:
                 out.append((v, 2.0 ** (-b)))
         return out
 
-    def point(self, index):
-        """Grid coordinates of a flat multi-index of bits."""
-        if len(index) != self.d:
-            raise ValueError("index length mismatch")
-        x = np.zeros(self.n_vars)
-        for (v, w), i in zip(self.bit_weights(), index):
-            x[v] += w * i
-        return x
-
-    def index_of(self, *ints):
-        """Bit multi-index of per-variable integer grid positions."""
-        if len(ints) != self.n_vars:
-            raise ValueError("need one integer per variable")
-        out = []
-        for v, nb in enumerate(self.bits):
-            j = int(ints[v])
-            if not 0 <= j < 2 ** nb:
-                raise ValueError("grid position out of range")
-            out.extend((j >> (nb - 1 - b)) & 1 for b in range(nb))
-        return out
 
 
 def qtt_exp_linear(grid, shift, coeffs):

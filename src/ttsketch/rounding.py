@@ -30,9 +30,24 @@ def _rank_list(ranks, d):
     return ranks
 
 
+def _svd(a):
+    """Thin SVD ``u, s, vh`` of ``a``.
+
+    LAPACK's divide-and-conquer SVD can fail to converge on an
+    ill-conditioned but finite matrix (a sketched 64 x 64 unfolding of
+    condition number 2e14 does); only then is the SVD taken of the
+    conjugate transpose, whose factors are those of ``a`` swapped.
+    """
+    try:
+        return np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError:
+        u, s, vh = np.linalg.svd(a.conj().T, full_matrices=False)
+        return vh.conj().T, s, u.conj().T
+
+
 def pinv_trunc(a, rcond=1e-12):
     """Pseudo-inverse that drops singular values below rcond * sigma_max."""
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    u, s, vh = _svd(a)
     if s.size == 0 or s[0] == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=a.dtype)
     keep = s > rcond * s[0]
@@ -59,7 +74,7 @@ def tt_round(x, max_ranks=None, tol=None):
     delta = tol * norm / np.sqrt(d - 1) if tol is not None else None
     for k in range(d - 1, 0, -1):
         r1, n, r2 = cores[k].shape
-        u, s, vh = np.linalg.svd(cores[k].reshape(r1, n * r2), full_matrices=False)
+        u, s, vh = _svd(cores[k].reshape(r1, n * r2))
         keep = s.size
         if delta is not None:
             tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
@@ -113,7 +128,7 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
         z = m @ ws[k + 1].T
         target = min(caps[k + 1], z.shape[0], math.prod(x.dims[k + 1:]))
         if z.shape[1] > target:
-            q, _, _ = np.linalg.svd(z, full_matrices=False)
+            q, _, _ = _svd(z)
             q = q[:, :target]
         else:
             q, _ = np.linalg.qr(z)

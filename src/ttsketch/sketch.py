@@ -1,9 +1,9 @@
 """Randomized tensor-train sketch family.
 
 Every variant realizes ``P`` independent blocks of tensor-train cores; block
-``j`` defines ``rows_per_block`` rows of the sketching matrix and the blocks
-are stacked block-major.  The global ``1/sqrt(P)`` factor is kept separately
-in ``scale`` so structured contractions can defer it.
+``j`` defines as many rows of the sketching matrix as its first left bond,
+and the blocks are stacked block-major.  The global ``1/sqrt(P)`` factor is
+kept separately in ``scale`` so structured contractions can defer it.
 
 Variants
 --------
@@ -25,7 +25,6 @@ f_tt_r
     Included only as a benchmarking baseline.
 """
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -107,29 +106,10 @@ class SketchSpec:
         raise AssertionError
 
     @property
-    def rows_per_block(self):
-        return self.bond_pattern()[0]
-
-    @property
     def rows(self):
-        if self.variant == "otts":
-            return self.bond_pattern()[0]
-        return self.P * self.rows_per_block
-
-    def to_json_obj(self):
-        obj = {
-            "variant": self.variant,
-            "P": self.P,
-            "R": self.R,
-            "dims": list(self.dims),
-            "field": self.field,
-            "seed": self.seed,
-        }
-        if self.variant == "khatri_rao":
-            obj["base"] = self.base
-        if self.ranks is not None:
-            obj["ranks"] = list(self.ranks)
-        return obj
+        # otts realizes one joint chain over its P blocks.
+        per_block = self.bond_pattern()[0]
+        return per_block if self.variant == "otts" else self.P * per_block
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -147,13 +127,6 @@ class SketchSpec:
                     isinstance(u, bool) or not isinstance(u, kind) for u in items):
                 raise ValueError("sketch spec %r has a bad value: %r" % (key, v))
         return cls(**kwargs)
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_obj(json.loads(s))
 
 
 def stiefel_sample(rng, rows, cols, field):

@@ -89,6 +89,40 @@ def block_tt_view(sk):
     return TensorTrain(cores)
 
 
+def spec_to_json_obj(spec):
+    """The JSON object that ``SketchSpec.from_json_obj`` reads back as ``spec``."""
+    obj = {"variant": spec.variant, "P": spec.P, "R": spec.R, "dims": list(spec.dims),
+           "field": spec.field, "seed": spec.seed}
+    if spec.variant == "khatri_rao":
+        obj["base"] = spec.base
+    if spec.ranks is not None:
+        obj["ranks"] = list(spec.ranks)
+    return obj
+
+
+def grid_point(grid, index):
+    """Coordinates on a ``DyadicGrid`` of a flat multi-index of bits."""
+    if len(index) != grid.d:
+        raise ValueError("index length mismatch")
+    x = np.zeros(grid.n_vars)
+    for (v, w), i in zip(grid.bit_weights(), index):
+        x[v] += w * i
+    return x
+
+
+def grid_index_of(grid, *ints):
+    """Bit multi-index on a ``DyadicGrid`` of per-variable integer positions."""
+    if len(ints) != grid.n_vars:
+        raise ValueError("need one integer per variable")
+    out = []
+    for v, nb in enumerate(grid.bits):
+        j = int(ints[v])
+        if not 0 <= j < 2 ** nb:
+            raise ValueError("grid position out of range")
+        out.extend((j >> (nb - 1 - b)) & 1 for b in range(nb))
+    return out
+
+
 def stta_streams_add(a, b, beta=1.0):
     """Streams of x + beta y from the streams of x and y."""
     return [(sa + beta * sb, za + beta * zb) for (sa, za), (sb, zb) in zip(a, b)]

@@ -1,6 +1,10 @@
 """The package states its public surface once, in ``ttsketch.__all__``."""
 
 import ast
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import ttsketch
@@ -38,3 +42,32 @@ def test_every_public_definition_is_called_or_exported():
                if name not in ttsketch.__all__
                and not any(name in names for own, names in uses if own != (module, name))]
     assert orphans == []
+
+
+def attribute_counts(node):
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def test_every_public_method_is_used():
+    # A public method or property of a class of src/ttsketch must be read as
+    # an attribute somewhere in the package outside its own body.
+    total, methods = Counter(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        total += attribute_counts(tree)
+        methods += [(path.name, node.name, m) for node in tree.body if isinstance(node, ast.ClassDef)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    orphans = [(module, cls, m.name) for module, cls, m in methods
+               if total[m.name] == attribute_counts(m)[m.name]]
+    assert orphans == []
+
+
+def test_import_loads_no_scipy():
+    # scipy is not used by the package; importing it would add 0.3-0.6 s
+    # and about 27 MiB to every run.
+    code = ("import sys, ttsketch, ttsketch.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert out.stdout.strip() == "[]"

@@ -7,6 +7,8 @@ from ttsketch.eigensolver import (
     PAULI_Y,
     PAULI_Z,
     RayleighRitzConfig,
+    _tto_apply_dense,
+    ground_energy,
     ritz_solve,
     sketched_rayleigh_ritz,
     true_rayleigh_quotient,
@@ -70,6 +72,42 @@ def test_heisenberg_matches_dense_sum(d):
     op = tto_heisenberg(d, Jx=0.9, Jy=1.1, Jz=0.5, h=0.3)
     assert_allclose(tto_dense(op), dense_heisenberg(d, 0.9, 1.1, 0.5, 0.3),
                     atol=1e-12)
+
+
+def free_fermion_tfim_energy(d, J, g):
+    """Ground energy of the open TFIM chain: by the Jordan-Wigner map the
+    mode energies are the singular values of the bidiagonal matrix with g on
+    the diagonal and J above it, and the ground energy is minus their sum."""
+    b = np.diag([float(g)] * d) + np.diag([float(J)] * (d - 1), 1)
+    return -np.linalg.svd(b, compute_uv=False).sum()
+
+
+@pytest.mark.parametrize("op", [tto_tfim(5, J=1.3, g=0.7), tto_heisenberg(4, 0.7, 1.3, 0.9, 0.3)],
+                         ids=["tfim", "heisenberg"])
+def test_dense_apply_matches_dense_operator(op):
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(2 ** op.d) + 1j * rng.standard_normal(2 ** op.d)
+    assert_allclose(_tto_apply_dense(op, x), tto_dense(op) @ x, atol=1e-12)
+
+
+@pytest.mark.parametrize("op", [
+    tto_tfim(2), tto_tfim(7, J=1.3, g=0.7), tto_tfim(10, g=1.5),
+    tto_heisenberg(3), tto_heisenberg(8), tto_heisenberg(10, Jx=0.7, Jy=1.3, Jz=0.9, h=0.3),
+], ids=["tfim-2", "tfim-7", "tfim-10", "heis-3", "heis-8", "heis-10-aniso-field"])
+def test_ground_energy_matches_dense_eigvalsh(op):
+    w0 = np.linalg.eigvalsh(tto_dense(op))[0]
+    assert abs(ground_energy(op) - w0) <= 1e-12 * abs(w0)
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 1.5])
+def test_ground_energy_matches_free_fermions_at_d14(g):
+    e0 = free_fermion_tfim_energy(14, 1.0, g)
+    assert abs(ground_energy(tto_tfim(14, g=g)) - e0) <= 1e-12 * abs(e0)
+
+
+def test_ground_energy_raises_when_not_converged():
+    with pytest.raises(ValueError, match="did not converge"):
+        ground_energy(tto_tfim(10), max_iter=2)
 
 
 def test_ritz_solve_known_pencil():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import tt_evaluate
+from oracles import grid_index_of, grid_point, tt_evaluate
 from ttsketch.qtt import (
     DyadicGrid,
     hadamard_experiment_factors,
@@ -28,20 +28,20 @@ def test_grid_layout():
 def test_grid_point_is_bit_expansion():
     g = DyadicGrid(4)
     # msb-first: index (1, 0, 1, 1) -> 0.1011_2
-    assert_allclose(g.point([1, 0, 1, 1]), [0.5 + 0.125 + 0.0625])
+    assert_allclose(grid_point(g, [1, 0, 1, 1]), [0.5 + 0.125 + 0.0625])
     with pytest.raises(ValueError):
-        g.point([1, 0])
+        grid_point(g, [1, 0])
 
 
 def test_grid_index_round_trip():
     g = DyadicGrid([3, 2])
     for i, j in itertools.product(range(8), range(4)):
-        idx = g.index_of(i, j)
-        assert_allclose(g.point(idx), [i / 8.0, j / 4.0])
+        idx = grid_index_of(g, i, j)
+        assert_allclose(grid_point(g, idx), [i / 8.0, j / 4.0])
     with pytest.raises(ValueError):
-        g.index_of(8, 0)
+        grid_index_of(g, 8, 0)
     with pytest.raises(ValueError):
-        g.index_of(0)
+        grid_index_of(g, 0)
 
 
 def grid_values(grid, f):
@@ -49,7 +49,7 @@ def grid_values(grid, f):
     shape = tuple(2 ** b for b in grid.bits)
     out = np.empty(shape)
     for pos in itertools.product(*[range(s) for s in shape]):
-        out[pos] = f(*grid.point(grid.index_of(*pos)))
+        out[pos] = f(*grid_point(grid, grid_index_of(grid, *pos)))
     return out
 
 
@@ -103,7 +103,7 @@ def test_cos_linear_multivariable():
 def test_evaluate_matches_dense_entry():
     g = DyadicGrid(3, n_vars=2)
     t = qtt_cos_linear(g, 0.4, [2.0, -1.0])
-    idx = g.index_of(5, 2)
+    idx = grid_index_of(g, 5, 2)
     assert_allclose(tt_evaluate(t, idx),
                     np.cos(0.4 + 2 * (5 / 8.0) - 2 / 8.0), atol=1e-13)
 
@@ -133,8 +133,8 @@ def test_hadamard_factor_values_and_ranks():
 
 def test_hadamard_product_entry():
     grid, fs = hadamard_experiment_factors(3, omega2=5.0, omega3=2.0)
-    idx = grid.index_of(3, 6, 1)
-    x, y, z = grid.point(idx)
+    idx = grid_index_of(grid, 3, 6, 1)
+    x, y, z = grid_point(grid, idx)
     vals = [tt_evaluate(f, idx) for f in fs]
     expect = ((0.1 * np.exp(-2 * (x + y + z)) + np.exp(x))
               * (0.1 * np.cos(5.0 * (x + y - 2 * z)) + np.exp(-x))

@@ -8,6 +8,7 @@ from oracles import is_orthogonal, oracle_dense, oracle_vector, rel_err, stta_st
 from ttsketch import tt
 from ttsketch.rounding import (
     STTASketchPair,
+    _svd,
     left_gaussian_chain,
     pinv_trunc,
     stta,
@@ -28,6 +29,25 @@ from ttsketch.tt import (
 )
 
 DIMS = (2, 3, 2, 3, 2)
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7)])
+def test_svd_falls_back_to_the_conjugate_transpose(monkeypatch, rng, shape):
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    real_svd = np.linalg.svd
+
+    def failing_svd(m, **kwargs):
+        if m is a:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(m, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    u, s, vh = _svd(a)
+    k = min(shape)
+    assert u.shape == (shape[0], k) and vh.shape == (k, shape[1])
+    assert_allclose((u * s) @ vh, a, atol=1e-12)
+    assert_allclose(u.conj().T @ u, np.eye(k), atol=1e-12)
+    assert_allclose(s, real_svd(a, compute_uv=False), atol=1e-12)
 RANKS = (1, 2, 3, 3, 2, 1)
 
 
