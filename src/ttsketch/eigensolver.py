@@ -98,7 +98,7 @@ def _tto_apply_dense(h, x):
     (r * n_in, n_out * r') core, after which the output mode joins the
     written ones behind the remaining input modes.
     """
-    t = np.asarray(x).reshape(x.size, 1)
+    t = np.asarray(x).reshape(-1, 1)
     for c in h.cores:
         r, n_out, n_in, r2 = c.shape
         t = t.reshape(n_in, -1, r).transpose(1, 2, 0).reshape(-1, r * n_in)
