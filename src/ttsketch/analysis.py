@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .contract import partial_contractions
-from .sketch import SketchSpec, make_sketch, sketch_dense
+from .sketch import RealizedSketch, SketchSpec, make_sketch, sketch_dense
 from .tt import STREAM_EXPERIMENT, _stacked_train, gaussian, rng_for, tt_gram, tt_norm
 
 MAX_SUBSET_MODES = 16
@@ -257,28 +257,37 @@ def entanglement_constant(basis, dims, subset, n_starts=64, iters=200, seed=0):
     return best
 
 
-def empirical_spectrum(basis, sk):
+def empirical_spectrum(basis, sketches):
     """Extreme eigenvalues of the whitened Gram of the sketched basis.
 
-    The basis Gram matrix is computed exactly through train contractions, so
-    the basis need not be orthonormal and nothing is densified.  All r
-    sketch columns come from one sweep: W_1 of the r trains stacked as one
-    block train with left boundary rank r.  The eigenvalues are the squared
-    singular values of the whitened sketch, so they are never negative and
-    the smallest is accurate to round-off relative to the product of the
-    extreme singular values, not to the largest eigenvalue.  With fewer
-    sketch rows than basis vectors the smallest is exactly 0.
+    ``sketches`` is an iterable of realized sketches, consumed one at a
+    time, and one pair (sigma_min^2, sigma_max^2) is returned per sketch; a
+    single realized sketch gives a single pair.  The basis is stacked and
+    whitened once for all of them.  Its Gram matrix is computed exactly
+    through train contractions, so the basis need not be orthonormal and
+    nothing is densified.  All r sketch columns come from one sweep: W_1 of
+    the r trains stacked as one block train with left boundary rank r.  The
+    eigenvalues are the squared singular values of the whitened sketch, so
+    they are never negative and the smallest is accurate to round-off
+    relative to the product of the extreme singular values, not to the
+    largest eigenvalue.  With fewer sketch rows than basis vectors the
+    smallest is exactly 0.
     """
-    m = partial_contractions(sk, _stacked_train(basis)).Ws[0]
+    single = isinstance(sketches, RealizedSketch)
+    stacked = _stacked_train(basis)
     gram = tt_gram(basis)
     w, u = np.linalg.eigh((gram + gram.conj().T) / 2)
     w = np.maximum(w, 0)
     if w[-1] == 0:
         raise ValueError("degenerate basis")
     inv_sqrt = u @ np.diag(1.0 / np.sqrt(np.maximum(w, w[-1] * 1e-14))) @ u.conj().T
-    s = np.linalg.svd(m @ inv_sqrt, compute_uv=False)
-    lo = s[-1] ** 2 if len(s) == len(basis) else 0.0
-    return float(lo), float(s[0] ** 2)
+    out = []
+    for sk in [sketches] if single else sketches:
+        m = partial_contractions(sk, stacked).Ws[0]
+        s = np.linalg.svd(m @ inv_sqrt, compute_uv=False)
+        lo = s[-1] ** 2 if len(s) == len(basis) else 0.0
+        out.append((float(lo), float(s[0] ** 2)))
+    return out[0] if single else out
 
 
 def isotropy_samples(spec, x, nsamples, seed=0):

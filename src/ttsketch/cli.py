@@ -210,12 +210,10 @@ def run_embed_quality(cfg, seed, out):
         basis = _kron_basis(d, n, r, seed)
     else:
         basis = _tt_basis(d, n, r, cfg["basis_rank"], seed)
-    rows = []
-    for spec in specs:
-        for t in range(trials):
-            sk = make_sketch(replace(spec, seed=seed * 1000003 + 7919 * t))
-            lo, hi = analysis.empirical_spectrum(basis, sk)
-            rows.append([d, n, r, spec.variant, spec.P, spec.R, t, lo, hi])
+    draws = [(spec, t) for spec in specs for t in range(trials)]
+    sketches = (make_sketch(replace(spec, seed=seed * 1000003 + 7919 * t)) for spec, t in draws)
+    rows = [[d, n, r, spec.variant, spec.P, spec.R, t, lo, hi]
+            for (spec, t), (lo, hi) in zip(draws, analysis.empirical_spectrum(basis, sketches))]
     _write_csv(
         os.path.join(out, "embed_quality.csv"),
         ["d", "n", "r", "variant", "P", "R", "trial", "sigma_min_sq", "sigma_max_sq"],

@@ -5,8 +5,9 @@ Three routes:
 * ``tt_round``: deterministic QR sweep left-to-right followed by a truncated
   SVD sweep right-to-left; output is right-orthogonal.
 * ``tt_rand_round``: randomize-then-orthogonalize.  A single nested sketch
-  of the tail chains replaces the orthogonalization sweep; output is
-  left-orthogonal.
+  of the tail chains replaces the orthogonalization sweep at every bond
+  that must be cut; a bond already within its target is orthogonalized
+  exactly by a QR.  Output is left-orthogonal.
 * ``stta``: two-sided streaming truncation.  Left and right sketches are
   combined through small pseudo-inverses; the map from train to sketch
   streams is linear, so streams of a sum are sums of streams.
@@ -105,11 +106,13 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     """Randomize-then-orthogonalize rounding; output is left-orthogonal.
 
     One sketch of the tail chains is shared across all modes.  Each bond is
-    capped at the target, at the size of the left unfolding and at the tail
-    size, so the output ranks are feasible.  If the sketch carries more
-    columns than the capped rank, the range basis is truncated through an
-    SVD of the sketched unfolding.  Precomputed partial sketches may be
-    passed in; their column layout must match the cores of ``x``.
+    capped at the target, at the size of the left unfolding, at the tail
+    size and at the input's own bond, so the output ranks are feasible; a
+    bond that fits is orthogonalized exactly, by a QR of its unfolding,
+    without the sketch.  At a bond that must be cut, if the sketch carries
+    more columns than the capped rank, the range basis is truncated
+    through an SVD of the sketched unfolding.  Precomputed partial sketches
+    may be passed in; their column layout must match the cores of ``x``.
     """
     d = x.d
     caps = _rank_list(max_ranks, d)
@@ -125,13 +128,16 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     for k in range(d - 1):
         r1, n, r2 = cores[k].shape
         m = cores[k].reshape(r1 * n, r2)
-        z = m @ ws[k + 1].T
-        target = min(caps[k + 1], z.shape[0], math.prod(x.dims[k + 1:]))
-        if z.shape[1] > target:
-            q, _, _ = _svd(z)
-            q = q[:, :target]
+        target = min(caps[k + 1], math.prod(x.dims[k + 1:]))
+        if min(m.shape) <= target:
+            q, _ = np.linalg.qr(m)  # the bond fits: exact, q q* m = m
         else:
-            q, _ = np.linalg.qr(z)
+            z = m @ ws[k + 1].T
+            if z.shape[1] > target:
+                q, _, _ = _svd(z)
+                q = q[:, :target]
+            else:
+                q, _ = np.linalg.qr(z)
         out.append(q.reshape(r1, n, q.shape[1]))
         proj = q.conj().T @ m
         cores[k + 1] = np.tensordot(proj, cores[k + 1], axes=(1, 0))

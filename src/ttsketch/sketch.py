@@ -105,12 +105,6 @@ class SketchSpec:
             return [1] + [self.R] * (d - 1) + [1]
         raise AssertionError
 
-    @property
-    def rows(self):
-        # otts realizes one joint chain over its P blocks.
-        per_block = self.bond_pattern()[0]
-        return per_block if self.variant == "otts" else self.P * per_block
-
     @classmethod
     def from_json_obj(cls, obj):
         """Spec from a parsed JSON object; ValueError names a missing or bad key."""

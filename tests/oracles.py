@@ -100,6 +100,13 @@ def spec_to_json_obj(spec):
     return obj
 
 
+def spec_rows(spec):
+    """Rows of the sketching matrix a ``SketchSpec`` describes; otts realizes
+    one joint chain over its P blocks."""
+    per_block = spec.bond_pattern()[0]
+    return per_block if spec.variant == "otts" else spec.P * per_block
+
+
 def grid_point(grid, index):
     """Coordinates on a ``DyadicGrid`` of a flat multi-index of bits."""
     if len(index) != grid.d:

@@ -254,11 +254,9 @@ def test_criterion_07_overwhelming_orthogonality_ordering():
     # at 0.0024 (0.0024-0.0027 from Gaussian cores drawn without the
     # library), so the floor is asserted at R = 80 only.
     for R, P in ((1, 2 * r), (16, 2), (2 * d, 2)):
-        los = []
-        for t in range(100):
-            sk = make_sketch(SketchSpec("tts", (n,) * d, P=P, R=R,
-                                        seed=1000 * R + t))
-            los.append(empirical_spectrum(basis, sk)[0])
+        sketches = (make_sketch(SketchSpec("tts", (n,) * d, P=P, R=R, seed=1000 * R + t))
+                    for t in range(100))
+        los = [lo for lo, _ in empirical_spectrum(basis, sketches)]
         med[R] = float(np.median(los))
     elapsed = time.perf_counter() - t0
     assert med[16] > med[1]

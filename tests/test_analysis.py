@@ -296,7 +296,7 @@ def test_empirical_spectrum_orthogonal_square_case():
     rng = np.random.default_rng(12)
     basis = [tt_from_dense(rng.standard_normal(dims), dims, max_rank=4)
              for _ in range(3)]
-    lo, hi = empirical_spectrum(basis, sk)
+    [(lo, hi)] = empirical_spectrum(basis, [sk])
     scale = np.prod(dims) / (spec.P * spec.R)
     assert_allclose(lo, scale, rtol=1e-10)
     assert_allclose(hi, scale, rtol=1e-10)
@@ -304,13 +304,15 @@ def test_empirical_spectrum_orthogonal_square_case():
 
 def test_empirical_spectrum_brackets_one_for_tts():
     dims = (2, 2, 2, 2)
-    sk = make_sketch(SketchSpec("tts", dims, P=30, R=8, seed=1))
     rng = np.random.default_rng(13)
     basis = [tt_from_dense(rng.standard_normal(dims), dims, max_rank=2)
              for _ in range(2)]
-    lo, hi = empirical_spectrum(basis, sk)
-    assert 0 < lo <= hi
-    assert lo < 1.6 and hi > 0.4
+    sketches = (make_sketch(SketchSpec("tts", dims, P=30, R=8, seed=s)) for s in (1, 2, 3))
+    spectra = empirical_spectrum(basis, sketches)
+    assert len(spectra) == 3
+    for lo, hi in spectra:
+        assert 0 < lo <= hi
+        assert lo < 1.6 and hi > 0.4
 
 
 @pytest.mark.parametrize("P,R,basis_seed,sketch_seed", [
@@ -342,6 +344,8 @@ def test_empirical_spectrum_kron_basis_d40(P, R, basis_seed, sketch_seed):
     assert m.shape == (P * R, r)
     ev = np.linalg.eigvalsh(m.T @ m)
     lo, hi = empirical_spectrum(basis, sk)
+    # a single sketch gives the pair the batched form gives for each copy
+    assert empirical_spectrum(basis, [sk, sk]) == [(lo, hi)] * 2
     assert 0 <= lo <= hi
     assert_allclose(hi, ev[-1], rtol=1e-10)
     assert_allclose(lo, ev[0], rtol=1e-10, atol=1e-12 * ev[-1])

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -6,6 +7,9 @@ from numpy.testing import assert_allclose
 
 from oracles import is_orthogonal, oracle_dense, oracle_vector, rel_err, stta_streams_add
 from ttsketch import tt
+from ttsketch.cli import run_hadamard
+from ttsketch.contract import sketch_hadamard
+from ttsketch.qtt import hadamard_experiment_factors
 from ttsketch.rounding import (
     STTASketchPair,
     _svd,
@@ -21,10 +25,12 @@ from ttsketch.sketch import SketchSpec, make_sketch
 from ttsketch.tt import (
     TensorTrain,
     tt_dense,
+    tt_hadamard_assemble,
     tt_linear_combination,
     tt_norm,
     tt_orthogonalize,
     tt_random,
+    tt_residual_norm,
     tt_scale,
 )
 
@@ -159,6 +165,35 @@ def test_rand_round_ranks_within_tail_size(dims):
         y = tt_rand_round(x, 4, sk=sk)
         assert all(y.ranks[k] <= math.prod(dims[k:]) for k in range(1, d))
         assert err(y, x) < 1e-10
+
+
+@pytest.mark.parametrize("R", [1, 2, 4, 8, 16])
+def test_rand_round_hadamard_bonds_within_target_are_exact(R):
+    # The default hadamard product (bits = 20, d = 60) has rank 18, below
+    # the target 30: no bond is cut, so every one is orthogonalized exactly
+    # and keeps at most its input rank, whatever the sketch.
+    _, factors = hadamard_experiment_factors(20)
+    x = tt_hadamard_assemble(factors)
+    target = 30
+    sk = make_sketch(SketchSpec("tts", x.dims, P=2 * target // R, R=R, seed=1000003 + R))
+    y = tt_rand_round(x, target, partials=sketch_hadamard(sk, factors))
+    assert all(ry <= min(rx, target) for ry, rx in zip(y.ranks, x.ranks))
+    assert tt_residual_norm(x, y) <= 1e-13 * tt_norm(x)
+    assert is_orthogonal(y, "left")
+
+
+def test_rand_round_hadamard_below_product_rank(tmp_path):
+    # Target 12 is below the product rank 18, so the sketched path runs.
+    # The rows at seed 0 read 2.1x to 30x the deterministic error (the
+    # R = 1 sketches are the least accurate); 50x leaves room for round-off
+    # and still fails a sketched path that loses the range (error ~ 1).
+    run_hadamard({"target_rank": 12, "trials": 2}, 0, str(tmp_path))
+    with open(tmp_path / "hadamard.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    det = [float(r["rel_error"]) for r in rows if r["method"] == "deterministic"]
+    rnd = [float(r["rel_error"]) for r in rows if r["method"] == "randomized"]
+    assert len(det) == 1 and len(rnd) == 2 * 5
+    assert all(math.isfinite(e) and e <= 50 * det[0] for e in rnd)
 
 
 def test_rand_round_accepts_precomputed_partials():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import block_tt_view, oracle_dense, spec_to_json_obj
+from oracles import block_tt_view, oracle_dense, spec_rows, spec_to_json_obj
 from ttsketch.sketch import (
     KR_BASES,
     VARIANTS,
@@ -283,7 +283,7 @@ def test_block_view_matches_dense(variant, kw):
     spec = SketchSpec(variant, (2, 3, 2), seed=13, **kw)
     sk = make_sketch(spec)
     om = sketch_dense(sk)
-    assert om.shape == (spec.rows, 12)
+    assert om.shape == (spec_rows(spec), 12)
     view = oracle_dense(block_tt_view(sk)).reshape(-1, 12)
     assert_allclose(view, om, atol=1e-13)
 
