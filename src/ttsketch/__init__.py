@@ -3,6 +3,7 @@
 from .tt import (
     TensorTrain,
     TTOperator,
+    TTSum,
     tt_dense,
     tto_dense,
     tt_inner,
@@ -48,7 +49,7 @@ from .eigensolver import (
 )
 
 __all__ = [
-    "TensorTrain", "TTOperator", "tt_dense", "tto_dense", "tt_inner", "tt_gram",
+    "TensorTrain", "TTOperator", "TTSum", "tt_dense", "tto_dense", "tt_inner", "tt_gram",
     "tt_norm", "tt_orthogonalize", "tt_linear_combination", "tt_hadamard_assemble",
     "tto_apply_assemble", "tt_random", "tt_from_dense", "SketchSpec", "RealizedSketch",
     "make_sketch", "sketch_dense", "PartialSketchSet", "partial_contractions",

@@ -147,6 +147,10 @@ def moment_identity_matrix(a, b, R, field, form="trace"):
     raise ValueError("form must be 'trace' or 'hs'")
 
 
+# Samples drawn and multiplied per batch by ``mc_moment_matrix``.
+MC_CHUNK = 8192
+
+
 def mc_moment_matrix(a, b, R, field, nsamples, seed=0, form="trace"):
     """Monte Carlo check of ``moment_identity_matrix``.
 
@@ -154,18 +158,37 @@ def mc_moment_matrix(a, b, R, field, nsamples, seed=0, form="trace"):
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    n, m = a.shape[0], a.shape[1]
+    n = a.shape[0]
     rng = rng_for(seed, STREAM_EXPERIMENT, 0, 0)
+    scale = np.sqrt(1.0 / R)
     vals = np.empty(nsamples, dtype=complex if field == "complex" else float)
-    for t in range(nsamples):
-        g = gaussian(rng, (R, n), field, scale=np.sqrt(1.0 / R))
-        # both traces share the same draw of G
-        ga = g @ a @ g.conj().T
-        gb = g @ b @ g.conj().T
-        if form == "trace":
-            vals[t] = np.trace(ga) * np.conj(np.trace(gb))
+    for start in range(0, nsamples, MC_CHUNK):
+        c = min(MC_CHUNK, nsamples - start)
+        # One draw of c samples reads the stream in the order of c draws of
+        # one (R, n) sample each: a complex sample is its real then its
+        # imaginary part.
+        if field == "complex":
+            z = rng.standard_normal((c, 2, R, n))
+            g = scale / np.sqrt(2.0) * (z[:, 0] + 1j * z[:, 1])
         else:
-            vals[t] = np.trace(ga @ gb.conj().T)
+            g = scale * rng.standard_normal((c, R, n))
+        gh = g.conj().transpose(0, 2, 1)
+        # both traces share the same draw of G
+        ga = g @ a @ gh
+        gb = g @ b @ gh
+        out = vals[start:start + c]
+        if form == "hs":
+            out[:] = np.trace(ga @ gb.conj().transpose(0, 2, 1), axis1=1, axis2=2)
+            continue
+        ta, tb = np.trace(ga, axis1=1, axis2=2), np.trace(gb, axis1=1, axis2=2)
+        if field == "real":
+            out[:] = ta * tb
+        else:
+            # ta * conj(tb) in real arithmetic, which rounds as the product of
+            # two complex scalars does; numpy's complex array product can
+            # round differently.
+            out.real = ta.real * tb.real + ta.imag * tb.imag
+            out.imag = ta.imag * tb.real - ta.real * tb.imag
     est = vals.mean()
     se = vals.std(ddof=1) / np.sqrt(nsamples)
     return est, se, moment_identity_matrix(a, b, R, field, form=form)

@@ -83,20 +83,42 @@ def _step(g, w, op):
         return g.reshape(p, l, n * lr) @ t
     if isinstance(op, list):
         # Hadamard factor cores (a_j, n, A_j); chi' = A_1 ... A_J.  The
-        # sketch goes first, then each factor as a matmul batched over the
-        # mode index, which is summed out last.
-        t = g.transpose(2, 0, 1, 3) @ w
-        lead, rest = p * l, w.shape[2]
+        # sketch goes first.  Per mode index the partial is held as a matrix
+        # whose rows are the next factor's bond A_j: one matmul with that
+        # factor's slice makes a_j the rows, and the transpose moves a_j
+        # behind the (P, l) rows and A_{j+1} to the front.  The mode index
+        # is summed out last.
+        t = (g.transpose(2, 0, 1, 3) @ w).reshape(n, p * l, -1).transpose(0, 2, 1)
         for f in op:
-            a, _, ar = f.shape
-            rest //= ar
-            t = f.transpose(1, 0, 2)[:, None] @ t.reshape(n, lead, ar, rest)
-            lead *= a
+            t = f.transpose(1, 0, 2) @ t.reshape(n, f.shape[2], -1)
+            t = t.transpose(0, 2, 1)
         return t.sum(axis=0).reshape(p, l, -1)
     # train core (c, n, a); chi' = a.
     c = op.shape[0]
     t = op.reshape(c * n, -1) @ w.transpose(0, 2, 1)
     return g.reshape(p, l, n * lr) @ t.reshape(p, c, n * lr).transpose(0, 2, 1)
+
+
+def _left_step(p, op):
+    """One core of a left-to-right projection sweep.
+
+    ``p`` (q, chi) projects the left bond of this core's local operator,
+    ``op``, which is a train core (c, n, C) with chi = c, or an (operator
+    core (a, n, m, A), train core (c, m, C)) pair with chi = a c, operator
+    bond major.  The result is the projected core (q, n, chi'), with chi' =
+    C or A C, again operator bond major, as in ``_step``.
+    """
+    q = p.shape[0]
+    if isinstance(op, tuple):
+        h, x = op
+        a, n, m, ar = h.shape
+        c, _, cr = x.shape
+        t = p.reshape(q * a, c) @ x.reshape(c, m * cr)
+        t = t.reshape(q, a, m, cr).transpose(0, 3, 1, 2).reshape(q * cr, a * m)
+        t = t @ h.transpose(0, 2, 1, 3).reshape(a * m, n * ar)
+        return t.reshape(q, cr, n, ar).transpose(0, 2, 3, 1).reshape(q, n, ar * cr)
+    c, n, cr = op.shape
+    return (p @ op.reshape(c, n * cr)).reshape(q, n, cr)
 
 
 def _sweep(sk, ops):
@@ -120,10 +142,15 @@ def partial_contractions(sk, x):
 
 
 def sketch_linear_combination(sk, terms, coefficients):
-    """Partial sketches of sum(alpha_j * terms[j]) from per-term sketches."""
+    """Partial sketches of sum(alpha_j * terms[j]) from per-term sketches.
+
+    A term is a train or an (operator, train) pair, as in ``tt.TTSum``.
+    """
     if len(terms) != len(coefficients):
         raise ValueError("need one coefficient per term")
-    return PartialSketchSet.combine([partial_contractions(sk, t) for t in terms], coefficients)
+    sets = [sketch_matvec(sk, *t) if isinstance(t, tuple) else partial_contractions(sk, t)
+            for t in terms]
+    return PartialSketchSet.combine(sets, coefficients)
 
 
 def sketch_matvec(sk, h, x):

@@ -1,9 +1,11 @@
 """Sketched Rayleigh-Ritz iteration for operator trains.
 
-A single sketch, drawn up front, is reused for three jobs: rounding of the
-Krylov-style updates, the sketched Gram-Schmidt coefficients, and the final
-small Ritz problem.  Basis vectors are kept as trains; products with the
-operator are only ever assembled at the current iteration ranks.
+A single sketch, drawn up front, is reused for four jobs: rounding of the
+Krylov-style updates, the sketched Gram-Schmidt coefficients, the small
+Ritz problem, and rounding of the Ritz vector.  Basis vectors are kept as
+trains.  Each update and each Ritz vector is rounded as a ``TTSum`` of its
+terms, so neither the sum nor the operator's product with a basis vector
+is assembled.
 
 ``ground_energy`` is the exact reference the solver is checked against: a
 Lanczos iteration on dense vectors, with the operator applied core by core,
@@ -15,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contract import PartialSketchSet, partial_contractions, sketch_matvec
-from .rounding import tt_rand_round, tt_round
+from .rounding import tt_rand_round
 from .sketch import SketchSpec, make_sketch
 from .tt import (
     STREAM_EXPERIMENT,
     TTOperator,
+    TTSum,
     tt_feasible_ranks,
     tt_inner,
-    tt_linear_combination,
     tt_norm,
     tt_random,
     tt_scale,
@@ -211,9 +213,8 @@ def sketched_rayleigh_ritz(h, cfg=None):
             c_mat = np.stack([p.vector() for p in ps_b], axis=1)
             alpha, *_ = np.linalg.lstsq(c_mat, ps_h[-1].vector(), rcond=None)
             coeffs = [1.0] + [-a for a in alpha]
-            comb = tt_linear_combination([tto_apply_assemble(h, basis[-1])] + basis, coeffs)
             ps_comb = PartialSketchSet.combine([ps_h[-1]] + ps_b, coeffs)
-            vj = tt_rand_round(comb, ranks, partials=ps_comb)
+            vj = tt_rand_round(TTSum([(h, basis[-1])] + basis, coeffs), ranks, partials=ps_comb)
             ps = partial_contractions(sk, vj)
             nv = np.linalg.norm(ps.vector())
             if nv < 1e-300:
@@ -228,8 +229,7 @@ def sketched_rayleigh_ritz(h, cfg=None):
         if field == "real":
             phase = y0[np.argmax(np.abs(y0))]
             y0 = (y0 * np.conj(phase) / abs(phase)).real
-        ritz = tt_linear_combination(basis, list(y0))
-        ritz = tt_round(ritz, ranks)
+        ritz = tt_rand_round(TTSum(basis, y0), ranks, partials=PartialSketchSet.combine(ps_b, y0))
         ritz = tt_scale(ritz, 1.0 / tt_norm(ritz))
         cyn = np.linalg.norm(c_mat @ y[:, 0])
         entry = {

@@ -7,19 +7,30 @@ Three routes:
 * ``tt_rand_round``: randomize-then-orthogonalize.  A single nested sketch
   of the tail chains replaces the orthogonalization sweep at every bond
   that must be cut; a bond already within its target is orthogonalized
-  exactly by a QR.  Output is left-orthogonal.
+  exactly by a QR.  Output is left-orthogonal.  It also rounds a
+  ``TTSum`` of trains and operator-train products from its terms, without
+  assembling the sum or the products.
 * ``stta``: two-sided streaming truncation.  Left and right sketches are
   combined through small pseudo-inverses; the map from train to sketch
   streams is linear, so streams of a sum are sums of streams.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from .contract import partial_contractions
+from .contract import _left_step, partial_contractions, sketch_linear_combination
 from .sketch import SketchSpec, make_sketch
-from .tt import STREAM_STTA_LEFT, TensorTrain, _left_sweep, _rngs_for, gaussian, tt_orthogonalize
+from .tt import (
+    STREAM_STTA_LEFT,
+    TensorTrain,
+    TTSum,
+    _left_sweep,
+    _rngs_for,
+    gaussian,
+    tt_orthogonalize,
+)
 
 
 def _rank_list(ranks, d):
@@ -105,6 +116,11 @@ def default_round_sketch(dims, ranks, field="real", seed=0):
 def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     """Randomize-then-orthogonalize rounding; output is left-orthogonal.
 
+    ``x`` is a ``TensorTrain`` or a ``TTSum``.  A sum is rounded from its
+    terms: the sweep keeps one projected core per term, and the unfolding
+    at a bond is the concatenation of their columns, so no block-diagonal
+    or operator-product core is built.  A train is the sum of one term.
+
     One sketch of the tail chains is shared across all modes.  Each bond is
     capped at the target, at the size of the left unfolding, at the tail
     size and at the input's own bond, so the output ranks are feasible; a
@@ -112,23 +128,35 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     without the sketch.  At a bond that must be cut, if the sketch carries
     more columns than the capped rank, the range basis is truncated
     through an SVD of the sketched unfolding.  Precomputed partial sketches
-    may be passed in; their column layout must match the cores of ``x``.
+    may be passed in; their column layout must match the cores of the
+    assembled train: term blocks in order, operator bond major within an
+    (operator, train) term, as ``sketch_linear_combination`` gives them.
+    The coefficients are folded into the last core.
     """
-    d = x.d
+    terms, coefficients = (x.terms, x.coefficients) if isinstance(x, TTSum) else ([x], [1.0])
+    dims = x.dims
+    d = len(dims)
     caps = _rank_list(max_ranks, d)
-    if d == 1:
-        return x.copy()
-    if partials is None:
-        if sk is None:
-            sk = default_round_sketch(x.dims, caps, field=x.field, seed=seed)
-        partials = partial_contractions(sk, x)
-    ws = partials.Ws
-    cores = [c.copy() for c in x.cores]
+    ops = [list(zip(t[0].cores, t[1].cores)) if isinstance(t, tuple) else t.cores
+           for t in terms]
+    # Terms of a sum are plain; a train may carry a left block rank.
+    eye = np.eye(1 if isinstance(x, TTSum) else x.ranks[0])
+    pieces = [_left_step(eye, op[0]) for op in ops]
+    if d > 1:
+        if partials is None:
+            if sk is None:
+                sk = default_round_sketch(dims, caps, field=x.field, seed=seed)
+            partials = (sketch_linear_combination(sk, terms, coefficients)
+                        if isinstance(x, TTSum) else partial_contractions(sk, x))
+        ws = partials.Ws
     out = []
+    tail = math.prod(dims)
     for k in range(d - 1):
-        r1, n, r2 = cores[k].shape
-        m = cores[k].reshape(r1 * n, r2)
-        target = min(caps[k + 1], math.prod(x.dims[k + 1:]))
+        r1, n = pieces[0].shape[:2]
+        cols = [piece.reshape(r1 * n, -1) for piece in pieces]
+        m = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
+        tail //= n
+        target = min(caps[k + 1], tail)
         if min(m.shape) <= target:
             q, _ = np.linalg.qr(m)  # the bond fits: exact, q q* m = m
         else:
@@ -140,8 +168,13 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
                 q, _ = np.linalg.qr(z)
         out.append(q.reshape(r1, n, q.shape[1]))
         proj = q.conj().T @ m
-        cores[k + 1] = np.tensordot(proj, cores[k + 1], axes=(1, 0))
-    out.append(cores[d - 1])
+        offsets = [0, *itertools.accumulate(c.shape[1] for c in cols)]
+        pieces = [_left_step(proj[:, a:b], op[k + 1])
+                  for a, b, op in zip(offsets, offsets[1:], ops)]
+    last = coefficients[0] * pieces[0]
+    for a, piece in zip(coefficients[1:], pieces[1:]):
+        last = last + a * piece
+    out.append(last)
     return TensorTrain(out)
 
 

@@ -262,6 +262,44 @@ class TTOperator:
         return (1,) + tuple(c.shape[3] for c in self.cores)
 
 
+class TTSum:
+    """The sum of ``coefficients[j] * terms[j]``, kept as its terms.
+
+    Each term is a plain ``TensorTrain`` or an ``(TTOperator, TensorTrain)``
+    pair standing for the operator applied to the train.  Nothing is
+    assembled: ``rounding.tt_rand_round`` reads the terms core by core, and
+    ``contract.sketch_linear_combination`` sketches them.
+    """
+
+    def __init__(self, terms, coefficients):
+        self.terms = list(terms)
+        self.coefficients = list(coefficients)
+        if len(self.terms) != len(self.coefficients):
+            raise ValueError("need one coefficient per term")
+        if not self.terms:
+            raise ValueError("empty sum")
+        dims = set()
+        for t in self.terms:
+            h, x = t if isinstance(t, tuple) and len(t) == 2 else (None, t)
+            if not isinstance(x, TensorTrain) or not isinstance(h, (TTOperator, type(None))):
+                raise ValueError("a term must be a TensorTrain or a (TTOperator, TensorTrain) pair")
+            if h is not None and h.dims_in != x.dims:
+                raise ValueError("operator input dims do not match train dims")
+            if x.is_block:
+                raise ValueError("block trains not supported in sum")
+            dims.add(x.dims if h is None else h.dims_out)
+        if len(dims) != 1:
+            raise ValueError("mode dimension mismatch in sum")
+        self.dims = dims.pop()
+
+    @property
+    def field(self):
+        arrays = [c for t in self.terms for part in (t if isinstance(t, tuple) else (t,))
+                  for c in part.cores]
+        complex_ = any(np.iscomplexobj(a) for a in arrays + self.coefficients)
+        return "complex" if complex_ else "real"
+
+
 def tt_dense(x, max_entries=DEFAULT_DENSE_CAP):
     """Materialize a (block) tensor train.
 

@@ -7,7 +7,7 @@ through their public layout.
 
 import numpy as np
 
-from ttsketch.tt import TensorTrain, _block_diagonal_core
+from ttsketch.tt import STREAM_EXPERIMENT, TensorTrain, _block_diagonal_core, gaussian, rng_for
 
 
 def oracle_entry(cores, idx):
@@ -133,3 +133,24 @@ def grid_index_of(grid, *ints):
 def stta_streams_add(a, b, beta=1.0):
     """Streams of x + beta y from the streams of x and y."""
     return [(sa + beta * sb, za + beta * zb) for (sa, za), (sb, zb) in zip(a, b)]
+
+
+def mc_moment_samples(a, b, R, field, nsamples, seed=0, form="trace"):
+    """The samples behind ``analysis.mc_moment_matrix``, one draw at a time.
+
+    Each sample draws one (R, n) Gaussian G from the same stream, forms
+    G A G* and G B G*, and pairs their traces (``form='trace'``) or the two
+    matrices Hilbert-Schmidt style (``form='hs'``).
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    rng = rng_for(seed, STREAM_EXPERIMENT, 0, 0)
+    vals = np.empty(nsamples, dtype=complex if field == "complex" else float)
+    for t in range(nsamples):
+        g = gaussian(rng, (R, a.shape[0]), field, scale=np.sqrt(1.0 / R))
+        ga = g @ a @ g.conj().T
+        gb = g @ b @ g.conj().T
+        if form == "trace":
+            vals[t] = np.trace(ga) * np.conj(np.trace(gb))
+        else:
+            vals[t] = np.trace(ga @ gb.conj().T)
+    return vals

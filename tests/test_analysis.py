@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import oracle_entry
+from oracles import mc_moment_samples, oracle_entry
 
 from ttsketch.analysis import (
     as_mask,
@@ -201,6 +201,22 @@ def test_moment_identity_small_mc(field, form):
     est, se, exact = mc_moment_matrix(a, b, R=2, field=field,
                                       nsamples=20000, seed=1, form=form)
     assert abs(est - exact) < 5 * max(se, 1e-12)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("form", ["trace", "hs"])
+@pytest.mark.parametrize("R, n, nsamples", [(2, 3, 9000), (1, 3, 500), (3, 1, 50)])
+def test_mc_moment_matrix_equals_per_sample_reference(field, form, R, n, nsamples):
+    # The batched draws and products give the per-sample loop's values bit
+    # for bit; 9000 samples cross a batch boundary.
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((2, n, n))
+    if field == "complex":
+        a, b = a + 1j * rng.standard_normal((n, n)), b + 1j * rng.standard_normal((n, n))
+    est, se, _ = mc_moment_matrix(a, b, R=R, field=field, nsamples=nsamples, seed=5, form=form)
+    vals = mc_moment_samples(a, b, R, field, nsamples, seed=5, form=form)
+    assert est == vals.mean()
+    assert se == vals.std(ddof=1) / np.sqrt(nsamples)
 
 
 def test_moment_identity_symmetric_trace_real():

@@ -126,6 +126,23 @@ def test_linear_combination_matches_assembled(field):
             assert rel_err(a, b) < 1e-12
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_linear_combination_of_operator_terms_matches_assembled(rng, field):
+    # (operator, train) terms are sketched by sketch_matvec; the columns
+    # follow the assembled sum's blocks, operator bond major within a term.
+    bonds = (1, 2, 2, 2, 1)
+    h = TTOperator([gaussian(rng, (bonds[k], n, n, bonds[k + 1]), field)
+                    for k, n in enumerate(DIMS)])
+    x, y = tt(34, field=field), tt(35, (1, 2, 2, 2, 1), field=field)
+    sk = make_sketch(SketchSpec("tts", DIMS, P=2, R=3, seed=3, field=field))
+    coeffs = [0.5, -2.0 + (1j if field == "complex" else 0), 1.5]
+    ps = sketch_linear_combination(sk, [(h, x), y, (h, y)], coeffs)
+    assembled = partial_contractions(sk, tt_linear_combination(
+        [tto_apply_assemble(h, x), y, tto_apply_assemble(h, y)], coeffs))
+    for a, b in zip(ps.Ws, assembled.Ws):
+        assert rel_err(a, b) < 1e-12
+
+
 @pytest.mark.parametrize("variant,kw", SKETCHES)
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_matvec_matches_assembled(rng, field, variant, kw):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from oracles import is_orthogonal, oracle_dense, oracle_vector, rel_err, stta_streams_add
 from ttsketch import tt
 from ttsketch.cli import run_hadamard
-from ttsketch.contract import sketch_hadamard
+from ttsketch.contract import sketch_hadamard, sketch_linear_combination
 from ttsketch.qtt import hadamard_experiment_factors
 from ttsketch.rounding import (
     STTASketchPair,
@@ -24,6 +24,8 @@ from ttsketch.rounding import (
 from ttsketch.sketch import SketchSpec, make_sketch
 from ttsketch.tt import (
     TensorTrain,
+    TTOperator,
+    TTSum,
     tt_dense,
     tt_hadamard_assemble,
     tt_linear_combination,
@@ -32,6 +34,8 @@ from ttsketch.tt import (
     tt_random,
     tt_residual_norm,
     tt_scale,
+    tto_apply_assemble,
+    tto_dense,
 )
 
 DIMS = (2, 3, 2, 3, 2)
@@ -170,8 +174,10 @@ def test_rand_round_ranks_within_tail_size(dims):
 @pytest.mark.parametrize("R", [1, 2, 4, 8, 16])
 def test_rand_round_hadamard_bonds_within_target_are_exact(R):
     # The default hadamard product (bits = 20, d = 60) has rank 18, below
-    # the target 30: no bond is cut, so every one is orthogonalized exactly
-    # and keeps at most its input rank, whatever the sketch.
+    # the target 30: the first 55 bonds are orthogonalized exactly, and the
+    # last four are cut only to their tail sizes 16, 8, 4 and 2, within
+    # the tensor's rank there, so every bond keeps at most its input rank
+    # and nothing is lost, whatever the sketch.
     _, factors = hadamard_experiment_factors(20)
     x = tt_hadamard_assemble(factors)
     target = 30
@@ -219,6 +225,95 @@ def test_rand_round_truncation_reasonable():
         rnd = tt_rand_round(noisy, 2, seed=s)
         errs.append(err(rnd, noisy))
     assert np.median(errs) <= 3 * err(det, noisy)
+
+
+# ----------------------------------------------------- tt_rand_round of sums
+
+SUM_DIMS = {1: (3,), 2: (2, 3), 6: (2, 3, 2, 2, 3, 2)}
+
+
+def random_operator(dims, rank, seed):
+    rng = np.random.default_rng(seed)
+    bonds = [1] + [rank] * (len(dims) - 1) + [1]
+    return TTOperator([rng.standard_normal((bonds[k], n, n, bonds[k + 1]))
+                       for k, n in enumerate(dims)])
+
+
+def sum_case(d, coefficient_field):
+    """A TTSum of two plain and two (operator, train) terms, and its assembly."""
+    dims = SUM_DIMS[d]
+
+    def ranks(r):
+        return [1] + [r] * (d - 1) + [1]
+
+    x1 = tt_random(dims, ranks(2), seed=31)
+    x2 = tt_random(dims, ranks(3), field="complex", seed=32)
+    x3 = tt_random(dims, ranks(2), seed=33)
+    h1, h2 = random_operator(dims, 2, 34), random_operator(dims, 3, 35)
+    coefficients = [0.7, -1.3, 0.4, 2.1]
+    if coefficient_field == "complex":
+        coefficients = [0.7 - 0.2j, -1.3, 0.4 + 1.1j, 2.1j]
+    terms = [(h1, x1), x2, (h2, x3), x3]
+    assembled = tt_linear_combination(
+        [tto_apply_assemble(h1, x1), x2, tto_apply_assemble(h2, x3), x3], coefficients)
+    dense = sum(a * (tto_dense(t[0]) @ oracle_vector(t[1]) if isinstance(t, tuple)
+                     else oracle_vector(t))
+                for a, t in zip(coefficients, terms))
+    return TTSum(terms, coefficients), assembled, dense
+
+
+@pytest.mark.parametrize("coefficient_field", ["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_rand_round_sum_matches_dense_when_every_bond_fits(d, coefficient_field):
+    s, _, dense = sum_case(d, coefficient_field)
+    y = tt_rand_round(s, 1000, seed=3)
+    assert rel_err(oracle_vector(y), dense) < 1e-12
+    assert is_orthogonal(y, "left")
+
+
+@pytest.mark.parametrize("coefficient_field", ["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_rand_round_sum_matches_assembled_train_at_cut_bonds(d, coefficient_field):
+    # Same partial sketches, so the two routes differ only by round-off.
+    # Eight sketch columns take the SVD at a cut bond, three at target 3
+    # take the QR of the sketched unfolding.
+    s, assembled, _ = sum_case(d, coefficient_field)
+    for (p, r), target in (((2, 4), 2), ((2, 4), 3), ((1, 3), 3)):
+        sk = make_sketch(SketchSpec("tts", s.dims, P=p, R=r, field="complex", seed=8))
+        ps = sketch_linear_combination(sk, s.terms, s.coefficients)
+        y = tt_rand_round(s, target, partials=ps)
+        ref = tt_rand_round(assembled, target, partials=ps)
+        assert y.ranks == ref.ranks
+        assert rel_err(oracle_vector(y), oracle_vector(ref)) < 1e-12
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_rand_round_train_is_the_one_term_sum(field):
+    x = make_x(16, field=field)
+    for sk in (None, make_sketch(SketchSpec("tts", DIMS, P=3, R=2, field=field, seed=9))):
+        for target in (2, 3, 6):
+            y = tt_rand_round(x, target, sk=sk, seed=4)
+            z = tt_rand_round(TTSum([x], [1.0]), target, sk=sk, seed=4)
+            assert all(np.array_equal(a, b) for a, b in zip(y.cores, z.cores))
+
+
+def test_ttsum_rejects_malformed_terms():
+    x = make_x(17)
+    h = random_operator(DIMS, 2, 36)
+    with pytest.raises(ValueError, match="one coefficient per term"):
+        TTSum([x, x], [1.0])
+    with pytest.raises(ValueError, match="empty"):
+        TTSum([], [])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        TTSum([x, tt_random((2, 3), (1, 2, 1))], [1.0, 1.0])
+    with pytest.raises(ValueError, match="operator input dims"):
+        TTSum([(random_operator((2, 3), 2, 37), x)], [1.0])
+    with pytest.raises(ValueError, match="pair"):
+        TTSum([(x, h)], [1.0])
+    with pytest.raises(ValueError, match="block trains"):
+        TTSum([TensorTrain([np.ones((2, 2, 1))])], [1.0])
+    with pytest.raises(ValueError, match="pair"):
+        TTSum([np.ones(3)], [1.0])
 
 
 # ------------------------------------------------------------------- stta
