@@ -1,11 +1,13 @@
 """Sketched Rayleigh-Ritz iteration for operator trains.
 
-A single sketch, drawn up front, is reused for four jobs: rounding of the
-Krylov-style updates, the sketched Gram-Schmidt coefficients, the small
-Ritz problem, and rounding of the Ritz vector.  Basis vectors are kept as
-trains.  Each update and each Ritz vector is rounded as a ``TTSum`` of its
-terms, so neither the sum nor the operator's product with a basis vector
-is assembled.
+A single sketch, drawn up front, is reused for three jobs: rounding of the
+Krylov-style updates, the sketched Gram-Schmidt coefficients and the small
+Ritz problem.  Basis vectors are kept as trains.  Each update is rounded
+by ``tt_rand_round`` as a ``TTSum`` of its terms, so neither the sum nor
+the operator's product with a basis vector is assembled.  The Ritz vector
+is rounded deterministically, by ``tt_round`` of its ``TTSum``: a sketch
+that also fitted the Ritz coefficients gave a worse rank-16 Ritz vector
+and, at one pass seed, a solve stuck on an excited state.
 
 ``ground_energy`` is the exact reference the solver is checked against: a
 Lanczos iteration on dense vectors, with the operator applied core by core,
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contract import PartialSketchSet, partial_contractions, sketch_matvec
-from .rounding import tt_rand_round
+from .rounding import tt_rand_round, tt_round
 from .sketch import SketchSpec, make_sketch
 from .tt import (
     STREAM_EXPERIMENT,
@@ -229,7 +231,7 @@ def sketched_rayleigh_ritz(h, cfg=None):
         if field == "real":
             phase = y0[np.argmax(np.abs(y0))]
             y0 = (y0 * np.conj(phase) / abs(phase)).real
-        ritz = tt_rand_round(TTSum(basis, y0), ranks, partials=PartialSketchSet.combine(ps_b, y0))
+        ritz = tt_round(TTSum(basis, y0), ranks)
         ritz = tt_scale(ritz, 1.0 / tt_norm(ritz))
         cyn = np.linalg.norm(c_mat @ y[:, 0])
         entry = {

@@ -7,9 +7,11 @@ Three routes:
 * ``tt_rand_round``: randomize-then-orthogonalize.  A single nested sketch
   of the tail chains replaces the orthogonalization sweep at every bond
   that must be cut; a bond already within its target is orthogonalized
-  exactly by a QR.  Output is left-orthogonal.  It also rounds a
-  ``TTSum`` of trains and operator-train products from its terms, without
-  assembling the sum or the products.
+  exactly by a QR.  Output is left-orthogonal.
+
+Both also round a ``TTSum`` of trains and operator-train products from its
+terms, in one left-to-right sweep that never assembles the sum or the
+products.
 * ``stta``: two-sided streaming truncation.  Left and right sketches are
   combined through small pseudo-inverses; the map from train to sketch
   streams is linear, so streams of a sum are sums of streams.
@@ -71,16 +73,21 @@ def pinv_trunc(a, rcond=1e-12):
 def tt_round(x, max_ranks=None, tol=None):
     """Deterministic rounding to rank caps and/or a relative tolerance.
 
-    With ``tol`` set, each truncation sweep step discards a singular-value
-    tail of norm at most tol * ||x|| / sqrt(d - 1).
+    ``x`` is a ``TensorTrain`` or a ``TTSum``; a sum is orthogonalized from
+    its terms by exact QRs of their concatenated unfoldings, without
+    assembling it.  With ``tol`` set, each truncation sweep step discards a
+    singular-value tail of norm at most tol * ||x|| / sqrt(d - 1).
     """
     if max_ranks is None and tol is None:
         raise ValueError("give max_ranks, tol, or both")
-    d = x.d
+    if isinstance(x, TTSum):
+        left = _sweep_terms(x, lambda k, m: np.linalg.qr(m)[0])
+    else:
+        left = tt_orthogonalize(x, "left")
+    d = left.d
     if d == 1:
-        return x.copy()
+        return left
     caps = _rank_list(max_ranks, d) if max_ranks is not None else None
-    left = tt_orthogonalize(x, "left")
     cores = left.cores
     norm = np.linalg.norm(cores[-1])
     delta = tol * norm / np.sqrt(d - 1) if tol is not None else None
@@ -113,6 +120,45 @@ def default_round_sketch(dims, ranks, field="real", seed=0):
     )
 
 
+def _terms(x):
+    """The terms and coefficients of a ``TTSum``; a train is one term."""
+    return (x.terms, x.coefficients) if isinstance(x, TTSum) else ([x], [1.0])
+
+
+def _sweep_terms(x, basis):
+    """Left-to-right sweep over the terms of ``x``, a train or a ``TTSum``.
+
+    The sweep keeps one projected core per term; the unfolding ``m`` at bond
+    k is the concatenation of their columns, ``basis(k, m)`` returns its
+    orthonormal range basis q, and q* m is carried into each term's next
+    core, so no block-diagonal or operator-product core is built.  The
+    coefficients are folded into the last core.  The result is
+    left-orthogonal.
+    """
+    terms, coefficients = _terms(x)
+    ops = [list(zip(t[0].cores, t[1].cores)) if isinstance(t, tuple) else t.cores
+           for t in terms]
+    # Terms of a sum are plain; a train may carry a left block rank.
+    eye = np.eye(1 if isinstance(x, TTSum) else x.ranks[0])
+    pieces = [_left_step(eye, op[0]) for op in ops]
+    out = []
+    for k in range(len(ops[0]) - 1):
+        r1, n = pieces[0].shape[:2]
+        cols = [piece.reshape(r1 * n, -1) for piece in pieces]
+        m = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
+        q = basis(k, m)
+        out.append(q.reshape(r1, n, q.shape[1]))
+        proj = q.conj().T @ m
+        offsets = [0, *itertools.accumulate(c.shape[1] for c in cols)]
+        pieces = [_left_step(proj[:, a:b], op[k + 1])
+                  for a, b, op in zip(offsets, offsets[1:], ops)]
+    last = coefficients[0] * pieces[0]
+    for a, piece in zip(coefficients[1:], pieces[1:]):
+        last = last + a * piece
+    out.append(last)
+    return TensorTrain(out)
+
+
 def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     """Randomize-then-orthogonalize rounding; output is left-orthogonal.
 
@@ -133,49 +179,25 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     (operator, train) term, as ``sketch_linear_combination`` gives them.
     The coefficients are folded into the last core.
     """
-    terms, coefficients = (x.terms, x.coefficients) if isinstance(x, TTSum) else ([x], [1.0])
     dims = x.dims
     d = len(dims)
     caps = _rank_list(max_ranks, d)
-    ops = [list(zip(t[0].cores, t[1].cores)) if isinstance(t, tuple) else t.cores
-           for t in terms]
-    # Terms of a sum are plain; a train may carry a left block rank.
-    eye = np.eye(1 if isinstance(x, TTSum) else x.ranks[0])
-    pieces = [_left_step(eye, op[0]) for op in ops]
-    if d > 1:
-        if partials is None:
-            if sk is None:
-                sk = default_round_sketch(dims, caps, field=x.field, seed=seed)
-            partials = (sketch_linear_combination(sk, terms, coefficients)
-                        if isinstance(x, TTSum) else partial_contractions(sk, x))
-        ws = partials.Ws
-    out = []
-    tail = math.prod(dims)
-    for k in range(d - 1):
-        r1, n = pieces[0].shape[:2]
-        cols = [piece.reshape(r1 * n, -1) for piece in pieces]
-        m = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
-        tail //= n
-        target = min(caps[k + 1], tail)
+    if d > 1 and partials is None:
+        if sk is None:
+            sk = default_round_sketch(dims, caps, field=x.field, seed=seed)
+        partials = sketch_linear_combination(sk, *_terms(x))
+    tails = [math.prod(dims[k + 1:]) for k in range(d)]
+
+    def basis(k, m):
+        target = min(caps[k + 1], tails[k])
         if min(m.shape) <= target:
-            q, _ = np.linalg.qr(m)  # the bond fits: exact, q q* m = m
-        else:
-            z = m @ ws[k + 1].T
-            if z.shape[1] > target:
-                q, _, _ = _svd(z)
-                q = q[:, :target]
-            else:
-                q, _ = np.linalg.qr(z)
-        out.append(q.reshape(r1, n, q.shape[1]))
-        proj = q.conj().T @ m
-        offsets = [0, *itertools.accumulate(c.shape[1] for c in cols)]
-        pieces = [_left_step(proj[:, a:b], op[k + 1])
-                  for a, b, op in zip(offsets, offsets[1:], ops)]
-    last = coefficients[0] * pieces[0]
-    for a, piece in zip(coefficients[1:], pieces[1:]):
-        last = last + a * piece
-    out.append(last)
-    return TensorTrain(out)
+            return np.linalg.qr(m)[0]  # the bond fits: exact, q q* m = m
+        z = m @ partials.Ws[k + 1].T
+        if z.shape[1] > target:
+            return _svd(z)[0][:, :target]
+        return np.linalg.qr(z)[0]
+
+    return _sweep_terms(x, basis)
 
 
 def left_gaussian_chain(dims, bonds, field, seed, stream=STREAM_STTA_LEFT):

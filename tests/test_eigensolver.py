@@ -148,6 +148,16 @@ def test_sketched_rayleigh_ritz_small_tfim():
     assert len(out["history"]) >= 1
 
 
+def test_sketched_rayleigh_ritz_default_tfim_at_pass_seed_507013():
+    # With the Ritz vector rounded by tt_rand_round from the solver's own
+    # sketch, this default solve (d = 10) kept an excited state, -15.37,
+    # with relative error 7.1e-2; rounded by tt_round it reaches 2.9e-6.
+    op = tto_tfim(10, J=1.0, g=1.5)
+    out = sketched_rayleigh_ritz(op, RayleighRitzConfig(seed=507013))
+    e0 = ground_energy(op)
+    assert abs(true_rayleigh_quotient(op, out["vector"]) - e0) / abs(e0) < 1e-3
+
+
 def test_sketched_rayleigh_ritz_heisenberg_runs():
     d = 5
     op = tto_heisenberg(d, h=0.5)

@@ -297,6 +297,31 @@ def test_rand_round_train_is_the_one_term_sum(field):
             assert all(np.array_equal(a, b) for a, b in zip(y.cores, z.cores))
 
 
+@pytest.mark.parametrize("coefficient_field", ["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_round_sum_matches_round_of_assembled_train(d, coefficient_field):
+    s, assembled, dense = sum_case(d, coefficient_field)
+    y = tt_round(s, 1000)
+    assert rel_err(oracle_vector(y), dense) < 1e-12
+    if d > 1:
+        assert is_orthogonal(TensorTrain(y.cores[1:]), "right")
+    for kwargs in ({"max_ranks": 2}, {"max_ranks": 3}, {"tol": 0.3}, {"max_ranks": 3, "tol": 0.1}):
+        y = tt_round(s, **kwargs)
+        ref = tt_round(assembled, **kwargs)
+        assert y.ranks == ref.ranks
+        assert rel_err(oracle_vector(y), oracle_vector(ref)) < 1e-12
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_round_one_term_sum_matches_train(field):
+    x = make_x(18, field=field)
+    for target in (2, 3, 6):
+        y = tt_round(TTSum([x], [1.0]), target)
+        ref = tt_round(x, target)
+        assert y.ranks == ref.ranks
+        assert rel_err(oracle_vector(y), oracle_vector(ref)) < 1e-12
+
+
 def test_ttsum_rejects_malformed_terms():
     x = make_x(17)
     h = random_operator(DIMS, 2, 36)
