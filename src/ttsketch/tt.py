@@ -10,8 +10,11 @@ slowest.  Inner products are conjugate-linear in the first argument.
 """
 
 import functools
+import itertools
 
 import numpy as np
+
+from .contract import _left_step
 
 # Refuse to densify anything larger than this many entries.
 DEFAULT_DENSE_CAP = 2 ** 20
@@ -43,9 +46,6 @@ _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# Fewer paths than this are seeded one SeedSequence at a time, which is
-# cheaper than the fixed cost of the batch hash.
-_BATCH_MIN = 3
 
 
 def _hash_steps(init, mult, count):
@@ -158,8 +158,6 @@ def _rngs_for(seed, stream, blocks, cores):
     if not 0 <= min(entries) <= max(entries) <= _M32:
         # SeedSequence would split such an entry into two words.
         raise ValueError("stream tag and path entries must lie in [0, 2**32)")
-    if len(blocks) * len(cores) < _BATCH_MIN:
-        return (rng_for(seed, stream, j, k) for k in cores for j in blocks)
     js = np.array(blocks * len(cores), dtype=np.uint32)
     ks = np.array([k for k in cores for _ in blocks], dtype=np.uint32)
     # Word pairs (2i, 2i + 1) make uint64 word i, as in generate_state.
@@ -267,7 +265,8 @@ class TTSum:
 
     Each term is a plain ``TensorTrain`` or an ``(TTOperator, TensorTrain)``
     pair standing for the operator applied to the train.  Nothing is
-    assembled: ``rounding.tt_rand_round`` reads the terms core by core, and
+    assembled: ``tt_orthogonalize``, ``rounding.tt_round`` and
+    ``rounding.tt_rand_round`` read the terms core by core, and
     ``contract.sketch_linear_combination`` sketches them.
     """
 
@@ -298,6 +297,44 @@ class TTSum:
                   for c in part.cores]
         complex_ = any(np.iscomplexobj(a) for a in arrays + self.coefficients)
         return "complex" if complex_ else "real"
+
+
+def _terms(x):
+    """The terms and coefficients of a ``TTSum``; a train is one term."""
+    return (x.terms, x.coefficients) if isinstance(x, TTSum) else ([x], [1.0])
+
+
+def _sweep_terms(x, bond):
+    """Left-to-right sweep over the terms of ``x``, a train or a ``TTSum``.
+
+    The sweep keeps one projected core per term; the unfolding ``m`` at bond
+    k is the concatenation of their columns.  ``bond(k, m)`` returns an
+    orthonormal basis q of the range kept at that bond and the projection
+    q* m, which is carried into each term's next core, so no block-diagonal
+    or operator-product core is built.  The coefficients are folded into
+    the last core.  The result is left-orthogonal.
+    """
+    terms, coefficients = _terms(x)
+    ops = [list(zip(t[0].cores, t[1].cores)) if isinstance(t, tuple) else t.cores
+           for t in terms]
+    # Terms of a sum are plain; a train may carry a left block rank.
+    eye = np.eye(1 if isinstance(x, TTSum) else x.ranks[0])
+    pieces = [_left_step(eye, op[0]) for op in ops]
+    out = []
+    for k in range(len(ops[0]) - 1):
+        r1, n = pieces[0].shape[:2]
+        cols = [piece.reshape(r1 * n, -1) for piece in pieces]
+        m = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
+        q, proj = bond(k, m)
+        out.append(q.reshape(r1, n, q.shape[1]))
+        offsets = [0, *itertools.accumulate(c.shape[1] for c in cols)]
+        pieces = [_left_step(proj[:, a:b], op[k + 1])
+                  for a, b, op in zip(offsets, offsets[1:], ops)]
+    last = coefficients[0] * pieces[0]
+    for a, piece in zip(coefficients[1:], pieces[1:]):
+        last = last + a * piece
+    out.append(last)
+    return TensorTrain(out)
 
 
 def tt_dense(x, max_entries=DEFAULT_DENSE_CAP):
@@ -378,14 +415,15 @@ def tt_norm(x):
 
 
 def tt_residual_norm(x, y):
-    """||x - y||, from the first core of the right-orthogonalized difference.
+    """||x - y||, from the last core of the left-orthogonalized difference.
 
-    Accurate down to round-off relative to the norms of x and y, where
-    ``tt_norm`` of the difference, the square root of an inner product,
-    loses half the digits and can read exactly 0.
+    The difference is swept from its two terms, never assembled.  Accurate
+    down to round-off relative to the norms of x and y, where ``tt_norm`` of
+    the difference, the square root of an inner product, loses half the
+    digits and can read exactly 0.
     """
-    diff = tt_linear_combination([x, y], [1.0, -1.0])
-    return float(np.linalg.norm(tt_orthogonalize(diff, "right").cores[0]))
+    diff = tt_orthogonalize(TTSum([x, y], [1.0, -1.0]), "left")
+    return float(np.linalg.norm(diff.cores[-1]))
 
 
 def tt_scale(x, alpha):
@@ -395,24 +433,22 @@ def tt_scale(x, alpha):
 
 
 def tt_orthogonalize(x, mode):
-    """QR sweep; ``mode`` is 'left' or 'right'.  Ranks never increase."""
-    cores = [c.copy() for c in x.cores]
-    d = len(cores)
+    """Exact QR sweep; ``mode`` is 'left' or 'right'.  Ranks never increase.
+
+    In left mode ``x`` is a train or a ``TTSum``, whose terms are swept
+    without assembling the sum (see ``_sweep_terms``).  The right sweep,
+    for trains only, is the left sweep of the train with its modes
+    reversed.
+    """
     if mode == "left":
-        for k in range(d - 1):
-            r1, n, r2 = cores[k].shape
-            q, r = np.linalg.qr(cores[k].reshape(r1 * n, r2))
-            cores[k] = q.reshape(r1, n, q.shape[1])
-            cores[k + 1] = np.tensordot(r, cores[k + 1], axes=(1, 0))
-    elif mode == "right":
-        for k in range(d - 1, 0, -1):
-            r1, n, r2 = cores[k].shape
-            q, r = np.linalg.qr(cores[k].reshape(r1, n * r2).conj().T)
-            cores[k] = q.conj().T.reshape(q.shape[1], n, r2)
-            cores[k - 1] = np.tensordot(cores[k - 1], r.conj().T, axes=(2, 0))
-    else:
+        return _sweep_terms(x, lambda k, m: np.linalg.qr(m))  # R is q* m
+    if mode != "right":
         raise ValueError("mode must be 'left' or 'right'")
-    return TensorTrain(cores)
+    if isinstance(x, TTSum):
+        raise ValueError("a TTSum is orthogonalized in left mode only")
+    flipped = TensorTrain([c.transpose(2, 1, 0) for c in x.cores[::-1]])
+    left = tt_orthogonalize(flipped, "left")
+    return TensorTrain([c.transpose(2, 1, 0) for c in left.cores[::-1]])
 
 
 def _common_dims(trains, what):

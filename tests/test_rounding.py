@@ -295,6 +295,12 @@ def test_rand_round_train_is_the_one_term_sum(field):
             y = tt_rand_round(x, target, sk=sk, seed=4)
             z = tt_rand_round(TTSum([x], [1.0]), target, sk=sk, seed=4)
             assert all(np.array_equal(a, b) for a, b in zip(y.cores, z.cores))
+    # The exact routes run the same sweep for both inputs too.
+    one = TTSum([x], [1.0])
+    pairs = [(tt_orthogonalize(x, "left"), tt_orthogonalize(one, "left"))]
+    pairs += [(tt_round(x, target), tt_round(one, target)) for target in (2, 3, 6)]
+    for y, z in pairs:
+        assert all(np.array_equal(a, b) for a, b in zip(y.cores, z.cores))
 
 
 @pytest.mark.parametrize("coefficient_field", ["real", "complex"])

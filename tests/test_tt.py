@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
@@ -13,6 +13,7 @@ from ttsketch.tt import (
     STREAM_TT,
     TensorTrain,
     TTOperator,
+    TTSum,
     _rngs_for,
     _stacked_train,
     rng_for,
@@ -133,6 +134,12 @@ def test_residual_norm_matches_dense(rng, field, dist):
     y = tt_linear_combination([x, e], [1.0, 1.0])
     expect = np.linalg.norm(oracle_vector(e))
     assert abs(tt_residual_norm(x, y) - expect) < 10 * np.finfo(float).eps * xn
+    # A complex train of other ranks, some beyond what the dims can hold.
+    w = random_tt(rng, dims, (1, 3, 1, 4, 1), "complex")
+    w = tt_scale(w, xn / np.linalg.norm(oracle_vector(w)))
+    expect = np.linalg.norm(oracle_vector(x) - oracle_vector(w))
+    for a, b in ((x, w), (w, x)):
+        assert abs(tt_residual_norm(a, b) - expect) < 10 * np.finfo(float).eps * xn
 
 
 def test_inner_conjugate_linear_first_argument(rng):
@@ -167,6 +174,20 @@ def test_orthogonalize_preserves_tensor(rng, direction, field):
     assert rel_err(oracle_vector(y), oracle_vector(x)) < 1e-12
     assert is_orthogonal(y, direction)
     assert all(ry <= rx for ry, rx in zip(y.ranks, x.ranks))
+    if direction == "left":
+        # A sum is swept from its terms, one of them an operator applied.
+        h = TTOperator([rng.standard_normal((a, n, n, b)) for a, n, b in
+                        zip((1, 2, 3, 2), x.dims, (2, 3, 2, 1))])
+        y = tt_orthogonalize(TTSum([(h, x), x], [0.5, -1.0 + 0.3j]), "left")
+        expect = 0.5 * tto_dense(h) @ oracle_vector(x) + (-1.0 + 0.3j) * oracle_vector(x)
+        assert rel_err(oracle_vector(y), expect) < 1e-12
+        assert is_orthogonal(y, "left")
+
+
+def test_orthogonalize_sum_left_mode_only(rng):
+    x = random_tt(rng, (2, 3, 2), (1, 2, 2, 1))
+    with pytest.raises(ValueError, match="left mode only"):
+        tt_orthogonalize(TTSum([x, x], [1.0, 2.0]), "right")
 
 
 def test_orthogonalize_idempotent_tensor(rng):
@@ -281,8 +302,11 @@ def test_batched_streams_match_rng_for(seed, stream):
 @given(seed=st.integers(0, 2 ** 40), stream=st.integers(0, 2 ** 32 - 1),
        blocks=st.lists(st.integers(0, 2 ** 32 - 1), min_size=0, max_size=5),
        cores=st.lists(st.integers(0, 2 ** 32 - 1), min_size=0, max_size=4))
+@example(seed=5, stream=1, blocks=[], cores=[0, 1])
+@example(seed=5, stream=1, blocks=[3], cores=[0])
+@example(seed=5, stream=1, blocks=[0, 2 ** 32 - 1], cores=[7])
 def test_batched_streams_match_rng_for_fuzz(seed, stream, blocks, cores):
-    # Covers both sides of the batch threshold, empty grids and edge words.
+    # Covers empty grids, one and two paths, and edge words.
     paths = [(j, k) for k in cores for j in blocks]
     got = _rngs_for(seed, stream, blocks, cores)
     for j, k in paths:
