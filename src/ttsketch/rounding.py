@@ -28,10 +28,10 @@ from .tt import (
     STREAM_STTA_LEFT,
     TensorTrain,
     _left_sweep,
-    _rngs_for,
     _sweep_terms,
     _terms,
     gaussian,
+    rng_for,
     tt_orthogonalize,
 )
 
@@ -164,9 +164,9 @@ def left_gaussian_chain(dims, bonds, field, seed, stream=STREAM_STTA_LEFT):
     Entry variance is one over the left bond, mirroring the right-oriented
     Gaussian chains.
     """
-    rngs = _rngs_for(seed, stream, [0], range(len(dims)))
-    return [gaussian(rng, (bonds[k], dims[k], bonds[k + 1]), field, scale=np.sqrt(1.0 / bonds[k]))
-            for k, rng in enumerate(rngs)]
+    return [gaussian(rng_for(seed, stream, 0, k), (bonds[k], dims[k], bonds[k + 1]), field,
+                     scale=np.sqrt(1.0 / bonds[k]))
+            for k in range(len(dims))]
 
 
 class STTASketchPair:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .tt import STREAM_SKETCH, _rngs_for, gaussian
+from .tt import STREAM_SKETCH, gaussian, rng_for
 
 VARIANTS = ("tts", "otts", "khatri_rao", "gaussian_tt", "f_tt_r")
 KR_BASES = ("gaussian", "rademacher", "spherical")
@@ -135,56 +135,36 @@ def stiefel_sample(rng, rows, cols, field):
     return q.conj().T
 
 
-def _core(spec, rng, shape):
-    """One block's core of the variants not drawn by ``_gaussian_stack``."""
-    if spec.variant == "otts":
-        m = stiefel_sample(rng, shape[0], shape[1] * shape[2], spec.field)
-        return m.reshape(shape) * np.sqrt(shape[2] * shape[1] / shape[0])
-    if spec.base == "rademacher":
-        c = rng.choice([-1.0, 1.0], size=shape)
-        return c.astype(complex) if spec.field == "complex" else c
-    # khatri_rao spherical: Gaussian row rescaled to norm sqrt(n_k)
-    g = gaussian(rng, shape, spec.field)
-    return g * (np.sqrt(shape[1]) / np.linalg.norm(g))
+def _block_cores(spec, P):
+    """Stacked cores of the first P blocks: entry k is (P, l_k, n_k, l_{k+1}).
 
-
-def _gaussian_stack(rngs, count, shape, field, scale):
-    """``gaussian(rng, shape, field, scale)`` for the next ``count`` streams,
-    stacked; each stream fills its block in place and the scaling is one
-    product over the stack."""
-    if field == "complex":
-        z = np.empty((count, 2) + shape)
-        for zi, rng in zip(z, rngs):
-            rng.standard_normal(out=zi)
-        return scale / np.sqrt(2.0) * (z[:, 0] + 1j * z[:, 1])
-    z = np.empty((count,) + shape)
-    for zi, rng in zip(z, rngs):
-        rng.standard_normal(out=zi)
-    return scale * z
-
-
-def _block_cores(spec, blocks):
-    """Stacked cores of the listed blocks: entry k is (len(blocks), l_k, n_k, l_{k+1}).
-
-    Core k of block j is drawn from stream (j, k); the streams of all cores
-    are seeded in one pass.
+    Core k of all P blocks is one draw from stream k, in block order: the
+    blocks stay iid, and a sketch is seeded once per core, not per block.
     """
     d = len(spec.dims)
     pat = spec.bond_pattern()
-    rngs = _rngs_for(spec.seed, STREAM_SKETCH, blocks, range(d))
     cores = []
     for k, n in enumerate(spec.dims):
-        shape = (pat[k], n, pat[k + 1])
-        if spec.variant == "otts" or spec.base != "gaussian":
-            cores.append(np.stack([_core(spec, rng, shape) for _, rng in zip(blocks, rngs)]))
-            continue
-        if spec.variant == "khatri_rao":
-            var = 1.0
-        elif spec.variant == "f_tt_r":
-            var = 1.0 / np.sqrt(spec.R) if k in (0, d - 1) else 1.0 / spec.R
-        else:  # tts / gaussian_tt: variance is one over the left bond
-            var = 1.0 / (spec.R if spec.variant == "tts" else pat[k])
-        cores.append(_gaussian_stack(rngs, len(blocks), shape, spec.field, np.sqrt(var)))
+        rng = rng_for(spec.seed, STREAM_SKETCH, k)
+        shape = (P, pat[k], n, pat[k + 1])
+        if spec.variant == "otts":  # P is 1: the joint chain's frame
+            m = stiefel_sample(rng, pat[k], n * pat[k + 1], spec.field)
+            cores.append(m.reshape(shape) * np.sqrt(pat[k + 1] * n / pat[k]))
+        elif spec.base == "rademacher":
+            c = rng.choice([-1.0, 1.0], size=shape)
+            cores.append(c.astype(complex) if spec.field == "complex" else c)
+        elif spec.base == "spherical":  # Gaussian rows rescaled to norm sqrt(n_k)
+            g = gaussian(rng, shape, spec.field)
+            norms = np.linalg.norm(g.reshape(P, -1), axis=1)
+            cores.append(g * (np.sqrt(n) / norms)[:, None, None, None])
+        else:
+            if spec.variant == "khatri_rao":
+                var = 1.0
+            elif spec.variant == "f_tt_r":
+                var = 1.0 / np.sqrt(spec.R) if k in (0, d - 1) else 1.0 / spec.R
+            else:  # tts / gaussian_tt: variance is one over the left bond
+                var = 1.0 / (spec.R if spec.variant == "tts" else pat[k])
+            cores.append(gaussian(rng, shape, spec.field, np.sqrt(var)))
     return cores
 
 
@@ -223,8 +203,8 @@ def make_sketch(spec):
     already accounts for the block average, so its stored scale is 1.
     """
     if spec.variant == "otts":
-        return RealizedSketch(spec=spec, cores=_block_cores(spec, range(1)), scale=1.0)
-    return RealizedSketch(spec=spec, cores=_block_cores(spec, range(spec.P)),
+        return RealizedSketch(spec=spec, cores=_block_cores(spec, 1), scale=1.0)
+    return RealizedSketch(spec=spec, cores=_block_cores(spec, spec.P),
                           scale=1.0 / np.sqrt(spec.P))
 
 

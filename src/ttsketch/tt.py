@@ -9,7 +9,6 @@ All index linearizations are row-major (C order): the first mode varies
 slowest.  Inner products are conjugate-linear in the first argument.
 """
 
-import functools
 import itertools
 
 import numpy as np
@@ -30,141 +29,15 @@ def rng_for(seed, stream, *path):
     """Deterministic generator keyed by (seed, stream tag, index path).
 
     Distinct paths give statistically independent streams, so parallel or
-    out-of-order realization of sketch blocks/cores cannot change results.
-    Negative seeds are rejected; only the low 32 bits of a seed are used.
+    out-of-order realization of the cores of a train or sketch cannot
+    change results.  Negative seeds are rejected; every bit of a seed is
+    used.
     """
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be non-negative, got %d" % seed)
-    key = [seed & 0xFFFFFFFF, int(stream)] + [int(p) for p in path]
+    key = [seed, int(stream)] + [int(p) for p in path]
     return np.random.default_rng(np.random.SeedSequence(key))
-
-
-# SeedSequence's hash (numpy.random.bit_generator; numpy documents its output
-# as stable).
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_steps(init, mult, count):
-    """(xor, multiplier) of SeedSequence's successive hashmix calls."""
-    xs = [init]
-    for _ in range(count - 1):
-        xs.append(xs[-1] * mult & _M32)
-    return [(x, x * mult & _M32) for x in xs]
-
-
-@functools.lru_cache(maxsize=8)
-def _hash_constants(n):
-    """The hash's constants as uint32 arrays for a (4, n) pool.
-
-    Entry 0 holds the first hashmix of the four pool words.  Entry 1 + s
-    holds the round of source word s at the rows of the three words it
-    mixes into (row s is unused).  Entry 5 holds the hashmix of the eight
-    output words; then come the shift and the two mix multipliers.  Widths
-    up to 256 are tiled out, because numpy broadcasting costs more than the
-    arithmetic on a few keys; wider pools broadcast single columns.
-    """
-    a, b = _hash_steps(_INIT_A, _MULT_A, 16), _hash_steps(_INIT_B, _MULT_B, 8)
-    rounds = [a[:4]]
-    for s in range(4):
-        steps = iter(a[4 + 3 * s:7 + 3 * s])
-        rounds.append([(0, 0) if r == s else next(steps) for r in range(4)])
-    rounds.append(b)
-    width = n if n <= 256 else 1
-
-    def col(values):
-        out = np.tile(np.array(values, dtype=np.uint32)[:, None], (1, width))
-        out.flags.writeable = False  # shared by every call of this width
-        return out
-
-    return ([(col([x for x, _ in r]), col([m for _, m in r])) for r in rounds]
-            + [col([16] * 8), col([_MIX_L] * 4), col([_MIX_R] * 4)])
-
-
-def _seed_words(seed, stream, js, ks):
-    """SeedSequence([seed, stream, j, k]).generate_state(8) per key, (8, n).
-
-    ``js`` and ``ks`` are uint32 arrays of length n.  The four pool words of
-    all keys are hashed as one (4, n) array: in the mixing round of source
-    word s every row is mixed with the hash of row s, and row s then gets
-    its old value back.
-    """
-    *rounds, shift, mix_l, mix_r = _hash_constants(len(js))
-    pool = np.empty((4, len(js)), dtype=np.uint32)
-    pool[0], pool[1], pool[2], pool[3] = seed, stream, js, ks
-    x, m = rounds[0]
-    pool ^= x
-    pool *= m
-    pool ^= pool >> shift[:4]
-    for s, (x, m) in enumerate(rounds[1:5]):
-        src = pool[s].copy()
-        h = src ^ x
-        h *= m
-        h ^= h >> shift[:4]
-        h *= mix_r
-        pool *= mix_l
-        pool -= h
-        pool ^= pool >> shift[:4]
-        pool[s] = src
-    x, m = rounds[5]
-    out = np.concatenate([pool, pool])
-    out ^= x
-    out *= m
-    out ^= out >> shift
-    return out
-
-
-@functools.cache
-def _seed_words_type():
-    """A SeedSequence stand-in for PCG64 that holds its four words.
-
-    PCG64 asks its seed sequence for ``generate_state(4, uint64)`` alone
-    and derives its state from those words, so a PCG64 built on the words
-    of a SeedSequence equals one built on the SeedSequence.  The class is
-    made on first use, because importing numpy.random costs more than
-    importing this package.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("only the four uint64 words PCG64 asks for are stored")
-            # PCG64 reads the words through a raw pointer.
-            return np.ascontiguousarray(self.words, dtype=np.uint64)
-
-    return SeedWords
-
-
-def _rngs_for(seed, stream, blocks, cores):
-    """Generators for the paths (j, k), k in ``cores`` outer and j in
-    ``blocks`` inner, each equal draw for draw to ``rng_for(seed, stream,
-    j, k)``.
-
-    The keys of all paths are hashed in one vectorized pass; each path's
-    PCG64 is then built from its precomputed words.
-    """
-    seed, stream = int(seed), int(stream)
-    if seed < 0:
-        raise ValueError("seed must be non-negative, got %d" % seed)
-    blocks, cores = [int(j) for j in blocks], [int(k) for k in cores]
-    entries = [stream] + blocks + cores
-    if not 0 <= min(entries) <= max(entries) <= _M32:
-        # SeedSequence would split such an entry into two words.
-        raise ValueError("stream tag and path entries must lie in [0, 2**32)")
-    js = np.array(blocks * len(cores), dtype=np.uint32)
-    ks = np.array([k for k in cores for _ in blocks], dtype=np.uint32)
-    # Word pairs (2i, 2i + 1) make uint64 word i, as in generate_state.
-    words = _seed_words(seed & _M32, stream, js, ks)
-    words = np.ascontiguousarray(words.T, dtype="<u4").view("<u8")
-    seed_words = _seed_words_type()
-    return (np.random.Generator(np.random.PCG64(seed_words(w))) for w in words)
 
 
 def gaussian(rng, shape, field, scale=1.0):
@@ -553,9 +426,8 @@ def tt_random(dims, ranks, field="real", seed=0, stream=STREAM_TT):
     ranks = tuple(ranks)
     if len(ranks) != d + 1:
         raise ValueError("need d+1 ranks")
-    rngs = _rngs_for(seed, stream, [0], range(d))
-    return TensorTrain([gaussian(rng, (ranks[k], dims[k], ranks[k + 1]), field)
-                        for k, rng in enumerate(rngs)])
+    return TensorTrain([gaussian(rng_for(seed, stream, 0, k), (ranks[k], dims[k], ranks[k + 1]),
+                                 field) for k in range(d)])
 
 
 def tt_feasible_ranks(dims, r):

@@ -190,15 +190,17 @@ def test_rand_round_hadamard_bonds_within_target_are_exact(R):
 
 def test_rand_round_hadamard_below_product_rank(tmp_path):
     # Target 12 is below the product rank 18, so the sketched path runs.
-    # The rows at seed 0 read 2.1x to 30x the deterministic error (the
-    # R = 1 sketches are the least accurate); 50x leaves room for round-off
-    # and still fails a sketched path that loses the range (error ~ 1).
-    run_hadamard({"target_rank": 12, "trials": 2}, 0, str(tmp_path))
+    # Block ranks 8 and 16 keep to the regime the tts guarantees cover (R
+    # growing with d = 60); R = 1 Khatri-Rao blocks blow up in d and exceed
+    # 50x at about half of all seeds.  The rows at seed 0 read 1.6x to 2.7x
+    # the deterministic error, and seeds 0-29 at most 18x; 50x still fails
+    # a sketched path that loses the range (error ~ 1).
+    run_hadamard({"target_rank": 12, "trials": 2, "R_list": [8, 16]}, 0, str(tmp_path))
     with open(tmp_path / "hadamard.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     det = [float(r["rel_error"]) for r in rows if r["method"] == "deterministic"]
     rnd = [float(r["rel_error"]) for r in rows if r["method"] == "randomized"]
-    assert len(det) == 1 and len(rnd) == 2 * 5
+    assert len(det) == 1 and len(rnd) == 2 * 2
     assert all(math.isfinite(e) and e <= 50 * det[0] for e in rnd)
 
 

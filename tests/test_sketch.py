@@ -125,27 +125,35 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_blocks_independent_of_generation_order():
-    # the counter-based streams make block 1 identical whether or not
-    # block 0 was generated
-    spec = SketchSpec("tts", (2, 2), P=3, R=2, seed=1)
-    sk = make_sketch(spec)
-    from ttsketch.sketch import _block_cores
-    solo = [c[0] for c in _block_cores(spec, [1])]
-    for ca, cb in zip(sk.blocks[1], solo):
-        assert np.array_equal(ca, cb)
+    # Core k of every block comes from one stream, in block order, so the
+    # real Gaussian blocks do not depend on how many blocks follow them.
+    for variant, kw in (("tts", dict(R=2)), ("f_tt_r", dict(R=3)), ("khatri_rao", {})):
+        small = make_sketch(SketchSpec(variant, (2, 3, 2), P=3, seed=1, **kw))
+        large = make_sketch(SketchSpec(variant, (2, 3, 2), P=5, seed=1, **kw))
+        for ca, cb in zip(small.cores, large.cores):
+            assert np.array_equal(ca, cb[:3])
+
+
+def test_wide_seeds_are_not_wrapped():
+    # Every bit of a seed keys its streams: s and s + 2**32 draw apart.
+    for s in (0, 9):
+        a = make_sketch(SketchSpec("tts", (2, 3, 2), P=2, R=2, seed=s))
+        b = make_sketch(SketchSpec("tts", (2, 3, 2), P=2, R=2, seed=s + 2 ** 32))
+        for ca, cb in zip(a.cores, b.cores):
+            assert not np.array_equal(ca, cb)
 
 
 @pytest.mark.parametrize("variant,kw,digest", [
-    ("tts", dict(P=3, R=2), "7351647869f3fb91"),
-    ("otts", dict(P=2, R=3), "afc39f264d9ca651"),
-    ("khatri_rao", dict(P=4, R=1, base="rademacher"), "81301aea17fac7c0"),
-    ("gaussian_tt", dict(P=1, R=4, ranks=(4, 3, 2, 2, 1)), "820d60f9b3cb821e"),
-    ("f_tt_r", dict(P=3, R=2, field="complex"), "59a363a2360b167c"),
-])
+    ("tts", dict(P=3, R=2), "c8221ae24a35b055"),
+    ("otts", dict(P=2, R=3), "9a6ecaa64303a74b"),
+    ("khatri_rao", dict(P=4, R=1, base="rademacher"), "481028e52de8d5d0"),
+    ("gaussian_tt", dict(P=1, R=4, ranks=(4, 3, 2, 2, 1)), "d108dc7bcb5a8cfe"),
+    ("f_tt_r", dict(P=3, R=2, field="complex"), "a650b2b65c6b905f"),
+], ids=["tts", "otts", "khatri_rao", "gaussian_tt", "f_tt_r"])
 def test_stacked_blocks_keep_the_pinned_draws(variant, kw, digest):
-    # The digests were taken from the per-block draws before the cores were
-    # stacked; a different digest means the random stream moved (otts also
-    # depends on the LAPACK QR).  Blocks are views of the stacked cores.
+    # The digests pin the one-stream-per-core draws; a different digest
+    # means the random stream moved (otts also depends on the LAPACK QR).
+    # Blocks are views of the stacked cores.
     sk = make_sketch(SketchSpec(variant, (2, 3, 2, 2), seed=7, **kw))
     h = hashlib.sha256()
     for j, block in enumerate(sk.blocks):
@@ -156,13 +164,15 @@ def test_stacked_blocks_keep_the_pinned_draws(variant, kw, digest):
     assert h.hexdigest()[:16] == digest
 
 
-def reference_block(spec, j):
-    """Block j drawn core by core, each core from its own rng_for stream."""
-    dims, pat, d = spec.dims, spec.bond_pattern(), len(spec.dims)
+def reference_cores(spec):
+    """Core k of all blocks drawn from the one stream rng_for(seed, 2, k),
+    block by block where a block is normalized on its own."""
+    dims, pat = spec.dims, spec.bond_pattern()
+    d, P = len(dims), 1 if spec.variant == "otts" else spec.P
     cores = []
     for k in range(d):
-        rng = rng_for(spec.seed, STREAM_SKETCH, j, k)
-        shape = (pat[k], dims[k], pat[k + 1])
+        rng = rng_for(spec.seed, STREAM_SKETCH, k)
+        shape = (P, pat[k], dims[k], pat[k + 1])
         if spec.variant == "otts":
             m = stiefel_sample(rng, pat[k], dims[k] * pat[k + 1], spec.field)
             c = m.reshape(shape) * np.sqrt(pat[k + 1] * dims[k] / pat[k])
@@ -172,7 +182,7 @@ def reference_block(spec, j):
         elif spec.variant == "khatri_rao":
             c = gaussian(rng, shape, spec.field)
             if spec.base == "spherical":
-                c = c * (np.sqrt(dims[k]) / np.linalg.norm(c))
+                c = np.stack([b * (np.sqrt(dims[k]) / np.linalg.norm(b)) for b in c])
         elif spec.variant == "f_tt_r":
             var = 1.0 / np.sqrt(spec.R) if k in (0, d - 1) else 1.0 / spec.R
             c = gaussian(rng, shape, spec.field, scale=np.sqrt(var))
@@ -196,9 +206,11 @@ def test_sketch_draws_match_per_core_streams(variant, kw, field):
     kw = dict(dict(seed=7), **kw)
     spec = SketchSpec(variant, (2, 3, 2, 2), field=field, **kw)
     sk = make_sketch(spec)
-    for j, block in enumerate(sk.blocks):
-        for c, ref in zip(block, reference_block(spec, j)):
-            assert c.dtype == ref.dtype and c.shape == ref.shape
+    for c, ref in zip(sk.cores, reference_cores(spec), strict=True):
+        assert c.dtype == ref.dtype and c.shape == ref.shape
+        if spec.base == "spherical":  # the block norms are one reduction over the stack
+            assert_allclose(c, ref, rtol=4 * np.finfo(float).eps, atol=0)
+        else:
             assert np.array_equal(c, ref)
     assert len(sk.blocks) == (1 if variant == "otts" else spec.P)
 

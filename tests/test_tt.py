@@ -1,20 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
     is_orthogonal, oracle_dense, oracle_entry, oracle_vector, rel_err, tt_evaluate,
 )
 from ttsketch.tt import (
-    STREAM_EXPERIMENT,
-    STREAM_SKETCH,
-    STREAM_STTA_LEFT,
-    STREAM_TT,
     TensorTrain,
     TTOperator,
     TTSum,
-    _rngs_for,
     _stacked_train,
     rng_for,
     tt_dense,
@@ -270,69 +267,25 @@ def test_random_deterministic():
 
 
 def test_negative_seed_rejected():
-    # -1 and 2**32 - 1 would otherwise realize the same stream
     with pytest.raises(ValueError, match="seed"):
         rng_for(-1, 1, 0)
     with pytest.raises(ValueError, match="seed"):
         tt_random((2, 2), (1, 2, 1), seed=-1)
 
 
-def same_draws(a, b):
-    """Both generators give the same raw words, then the same normals."""
-    return (np.array_equal(a.bit_generator.random_raw(3), b.bit_generator.random_raw(3))
-            and np.array_equal(a.standard_normal(4), b.standard_normal(4)))
+def test_random_trains_keep_their_draws():
+    # tt_random and left_gaussian_chain draw core k from rng_for(seed,
+    # stream, 0, k); the digest pins those streams for seeds below 2**32.
+    from ttsketch.rounding import left_gaussian_chain
 
-
-STREAMS = [STREAM_TT, STREAM_SKETCH, STREAM_STTA_LEFT, STREAM_EXPERIMENT]
-
-
-@pytest.mark.parametrize("stream", STREAMS)
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32 + 5, 10 ** 12])
-def test_batched_streams_match_rng_for(seed, stream):
-    # Seeds of 2**32 and above are masked to their low 32 bits by both.
-    blocks, cores = [0, 1, 2, 593, 1186], [0, 1, 30, 59]
-    got = _rngs_for(seed, stream, blocks, cores)
-    for k in cores:
-        for j in blocks:
-            assert same_draws(next(got), rng_for(seed, stream, j, k)), (j, k)
-    assert next(got, None) is None
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 40), stream=st.integers(0, 2 ** 32 - 1),
-       blocks=st.lists(st.integers(0, 2 ** 32 - 1), min_size=0, max_size=5),
-       cores=st.lists(st.integers(0, 2 ** 32 - 1), min_size=0, max_size=4))
-@example(seed=5, stream=1, blocks=[], cores=[0, 1])
-@example(seed=5, stream=1, blocks=[3], cores=[0])
-@example(seed=5, stream=1, blocks=[0, 2 ** 32 - 1], cores=[7])
-def test_batched_streams_match_rng_for_fuzz(seed, stream, blocks, cores):
-    # Covers empty grids, one and two paths, and edge words.
-    paths = [(j, k) for k in cores for j in blocks]
-    got = _rngs_for(seed, stream, blocks, cores)
-    for j, k in paths:
-        assert same_draws(next(got), rng_for(seed, stream, j, k))
-    assert next(got, None) is None
-
-
-@pytest.mark.parametrize("blocks,cores,stream", [
-    ([2 ** 32], [0], 2), ([0, 1], [0, 2 ** 32 + 1], 2), ([-1], [0, 1, 2], 2),
-    ([0], [0, 1, 2], 2 ** 32), ([0], [0, 1, 2], -1)])
-def test_batched_streams_reject_wide_entries(blocks, cores, stream):
-    # SeedSequence splits an entry of 2**32 or more into two words, so the
-    # four-word hash would no longer be the stream of rng_for.
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        _rngs_for(0, stream, blocks, cores)
-    with pytest.raises(ValueError, match="seed"):
-        _rngs_for(-1, 1, [0, 1, 2], [0])
-
-
-def test_batched_streams_interleave():
-    # Two batches consumed in lockstep each keep their own generator.
-    a = _rngs_for(3, STREAM_TT, range(4), [0])
-    b = _rngs_for(4, STREAM_TT, range(4), [0])
-    for j, (ra, rb) in enumerate(zip(a, b)):
-        assert same_draws(ra, rng_for(3, STREAM_TT, j, 0))
-        assert same_draws(rb, rng_for(4, STREAM_TT, j, 0))
+    h = hashlib.sha256()
+    for seed in (0, 7, 12345, 2 ** 32 - 1):
+        for field in ("real", "complex"):
+            for c in tt_random((2, 3, 4, 2), (1, 2, 3, 2, 1), field=field, seed=seed).cores:
+                h.update(c.tobytes())
+            for c in left_gaussian_chain((2, 3, 4, 2), (1, 2, 3, 2, 1), field, seed):
+                h.update(c.tobytes())
+    assert h.hexdigest()[:16] == "2bc0b795dbbb1d5c"
 
 
 def test_stacked_train_rows_are_the_trains():
