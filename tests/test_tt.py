@@ -2,17 +2,24 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
     is_orthogonal, oracle_dense, oracle_entry, oracle_vector, rel_err, tt_evaluate,
 )
+from ttsketch.rounding import left_gaussian_chain
+from ttsketch.sketch import SketchSpec, make_sketch
 from ttsketch.tt import (
+    STREAM_EXPERIMENT,
+    STREAM_SKETCH,
+    STREAM_STTA_LEFT,
+    STREAM_TT,
     TensorTrain,
     TTOperator,
     TTSum,
     _stacked_train,
+    gaussian,
     rng_for,
     tt_dense,
     tt_feasible_ranks,
@@ -276,8 +283,6 @@ def test_negative_seed_rejected():
 def test_random_trains_keep_their_draws():
     # tt_random and left_gaussian_chain draw core k from rng_for(seed,
     # stream, 0, k); the digest pins those streams for seeds below 2**32.
-    from ttsketch.rounding import left_gaussian_chain
-
     h = hashlib.sha256()
     for seed in (0, 7, 12345, 2 ** 32 - 1):
         for field in ("real", "complex"):
@@ -286,6 +291,57 @@ def test_random_trains_keep_their_draws():
             for c in left_gaussian_chain((2, 3, 4, 2), (1, 2, 3, 2, 1), field, seed):
                 h.update(c.tobytes())
     assert h.hexdigest()[:16] == "2bc0b795dbbb1d5c"
+
+
+STREAMS = [STREAM_TT, STREAM_SKETCH, STREAM_STTA_LEFT, STREAM_EXPERIMENT]
+
+
+def batched_draws(seed, stream, dims, P):
+    """(drawn, reference) core pairs: core k of a batch is one draw from rng_for.
+
+    A train draws core k from rng_for(seed, stream, 0, k); a sketch draws
+    core k of all P blocks at once from rng_for(seed, STREAM_SKETCH, k).
+    """
+    ranks = (1,) + (2,) * (len(dims) - 1) + (1,)
+    pairs = []
+    for k, c in enumerate(tt_random(dims, ranks, seed=seed, stream=stream).cores):
+        pairs.append((c, gaussian(rng_for(seed, stream, 0, k), c.shape, "real")))
+    for k, c in enumerate(left_gaussian_chain(dims, ranks, "complex", seed, stream)):
+        ref = gaussian(rng_for(seed, stream, 0, k), c.shape, "complex",
+                       scale=np.sqrt(1.0 / ranks[k]))
+        pairs.append((c, ref))
+    if stream == STREAM_SKETCH:
+        sk = make_sketch(SketchSpec("khatri_rao", tuple(dims), P=P, seed=seed))
+        for k, c in enumerate(sk.cores):
+            pairs.append((c, gaussian(rng_for(seed, stream, k), (P, 1, dims[k], 1), "real")))
+    return pairs
+
+
+def assert_batched_draws(seed, stream, dims, P):
+    for got, ref in batched_draws(seed, stream, dims, P):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    # Every bit of the seed keys the stream: flipping bit 32 moves each core.
+    for (a, _), (b, _) in zip(batched_draws(seed, stream, dims, P),
+                              batched_draws(seed ^ 2 ** 32, stream, dims, P)):
+        assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32 + 5, 10 ** 12])
+def test_batched_streams_match_rng_for(seed, stream):
+    # Seeds of 2**32 and above are used in full, not masked to 32 bits.
+    assert_batched_draws(seed, stream, (2, 3, 2, 4), P=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 40), stream=st.integers(0, 2 ** 32 - 1),
+       dims=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+       P=st.integers(1, 6))
+@example(seed=5, stream=STREAM_SKETCH, dims=[2], P=1)
+@example(seed=2 ** 32 - 1, stream=STREAM_SKETCH, dims=[3, 2, 2], P=6)
+def test_batched_streams_match_rng_for_fuzz(seed, stream, dims, P):
+    # Covers one-core trains, single-block sketches, and edge seeds.
+    assert_batched_draws(seed, stream, tuple(dims), P)
 
 
 def test_stacked_train_rows_are_the_trains():
