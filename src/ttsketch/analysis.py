@@ -10,7 +10,7 @@ import numpy as np
 
 from .contract import partial_contractions
 from .sketch import RealizedSketch, SketchSpec, make_sketch, sketch_dense
-from .tt import STREAM_EXPERIMENT, _stacked_train, gaussian, rng_for, tt_gram, tt_norm
+from .tt import STREAM_EXPERIMENT, _stack_gram, _stacked_train, gaussian, rng_for, tt_norm
 
 MAX_SUBSET_MODES = 16
 
@@ -285,11 +285,11 @@ def empirical_spectrum(basis, sketches):
 
     ``sketches`` is an iterable of realized sketches, consumed one at a
     time, and one pair (sigma_min^2, sigma_max^2) is returned per sketch; a
-    single realized sketch gives a single pair.  The basis is stacked and
-    whitened once for all of them.  Its Gram matrix is computed exactly
-    through train contractions, so the basis need not be orthonormal and
-    nothing is densified.  All r sketch columns come from one sweep: W_1 of
-    the r trains stacked as one block train with left boundary rank r.  The
+    single realized sketch gives a single pair.  The basis is stacked once,
+    as one block train with left boundary rank r, and whitened once for all
+    of them.  Its Gram matrix is computed exactly from the stack, through
+    train contractions, so the basis need not be orthonormal and nothing is
+    densified.  All r sketch columns come from one sweep: W_1 of the stack.  The
     eigenvalues are the squared singular values of the whitened sketch, so
     they are never negative and the smallest is accurate to round-off
     relative to the product of the extreme singular values, not to the
@@ -298,7 +298,7 @@ def empirical_spectrum(basis, sketches):
     """
     single = isinstance(sketches, RealizedSketch)
     stacked = _stacked_train(basis)
-    gram = tt_gram(basis)
+    gram = _stack_gram(stacked)
     w, u = np.linalg.eigh((gram + gram.conj().T) / 2)
     w = np.maximum(w, 0)
     if w[-1] == 0:

@@ -106,7 +106,9 @@ def _left_step(p, op):
     ``op``, which is a train core (c, n, C) with chi = c, or an (operator
     core (a, n, m, A), train core (c, m, C)) pair with chi = a c, operator
     bond major.  The result is the projected core (q, n, chi'), with chi' =
-    C or A C, again operator bond major, as in ``_step``.
+    C or A C, again operator bond major, as in ``_step``.  The one left
+    projection: ``tt._sweep_terms``, ``tt._left_sweep`` and
+    ``rounding.stta_streams`` call it.
     """
     q = p.shape[0]
     if isinstance(op, tuple):

@@ -25,12 +25,12 @@ from .tt import (
     STREAM_EXPERIMENT,
     TTOperator,
     TTSum,
+    _inner,
     tt_feasible_ranks,
     tt_inner,
     tt_norm,
     tt_random,
     tt_scale,
-    tto_apply_assemble,
 )
 
 PAULI_I = np.eye(2)
@@ -178,8 +178,7 @@ def ritz_solve(c, d_mat):
 
 
 def true_rayleigh_quotient(h, x):
-    hx = tto_apply_assemble(h, x)
-    return (tt_inner(x, hx) / tt_inner(x, x)).real
+    return (_inner(x, (h, x)) / tt_inner(x, x)).real  # H x is never assembled
 
 
 def sketched_rayleigh_ritz(h, cfg=None):

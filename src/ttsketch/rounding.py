@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .contract import partial_contractions, sketch_linear_combination
+from .contract import _left_step, partial_contractions, sketch_linear_combination
 from .sketch import SketchSpec, make_sketch
 from .tt import (
     STREAM_STTA_LEFT,
@@ -212,7 +212,7 @@ def stta_streams(x, sketches):
     for k, xk in enumerate(x.cores):
         r1, n, r2 = xk.shape
         s = lam[k + 1] @ ws[k].T
-        z = (lam[k] @ xk.reshape(r1, n * r2)).reshape(-1, r2) @ ws[k].T
+        z = _left_step(lam[k], xk).reshape(-1, r2) @ ws[k].T
         streams.append((s, z.reshape(lam[k].shape[0], n, -1)))
     return streams
 

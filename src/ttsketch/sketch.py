@@ -173,24 +173,21 @@ class RealizedSketch:
     """The realized cores of a sketch, stacked over its blocks.
 
     ``cores[k]`` has shape (P, l_k, n_k, l_{k+1}): every variant draws
-    blocks of one common shape.  ``blocks[j][k]`` is a view of
-    ``cores[k][j]``, so both layouts share one copy of the draws.  Give
-    either the per-block cores or the stacked ones.
+    blocks of one common shape.  ``blocks[j][k]`` is derived from them, a
+    view of ``cores[k][j]``, so both layouts share one copy of the draws.
     """
 
     spec: SketchSpec
-    blocks: list = dc_field(repr=False, default=None)
+    cores: list = dc_field(repr=False)
     scale: float = 1.0
-    cores: list = dc_field(repr=False, default=None)
+    blocks: list = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.cores is None:
-            self.cores = [np.stack(per_core) for per_core in zip(*self.blocks)]
         self.blocks = [[c[j] for c in self.cores] for j in range(len(self.cores[0]))]
 
     @property
     def rows(self):
-        return sum(b[0].shape[0] for b in self.blocks)
+        return self.cores[0].shape[0] * self.cores[0].shape[1]
 
 
 def make_sketch(spec):

@@ -65,8 +65,8 @@ def test_every_public_method_is_used():
 
 def test_import_loads_no_scipy():
     # scipy is not used by the package; importing it would add 0.3-0.6 s
-    # and about 27 MiB to every run.  numpy.random is imported on first
-    # draw (see tt._seed_words_type), which keeps it out of the import time.
+    # and about 27 MiB to every run.  numpy loads numpy.random lazily, on
+    # the first call of tt.rng_for, which keeps it out of the import time.
     code = ("import sys, ttsketch, ttsketch.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
             " or m.startswith('numpy.random')))")

@@ -126,7 +126,7 @@ def test_eigensolve_command(tmp_path):
     out = str(tmp_path)
     argv = ["eigensolve", "--out", out, "--model", "tfim", "--d", "6",
             "--ranks", "8", "--P", "4", "--R", "8", "--m", "6",
-            "--restarts", "2", "--seed", "1"]
+            "--restarts", "4", "--seed", "1"]
     assert main(argv) == 0
     s = read_summary(out)
     assert s["model"] == "tfim"

@@ -87,7 +87,7 @@ def test_scale_applied_only_at_w1():
     x = tt(4)
     ps = partial_contractions(sk, x)
     unscaled = partial_contractions(
-        type(sk)(spec=sk.spec, blocks=sk.blocks, scale=1.0), x)
+        type(sk)(spec=sk.spec, cores=sk.cores, scale=1.0), x)
     assert_allclose(ps.Ws[0], 0.5 * unscaled.Ws[0])
     for k in range(1, len(DIMS)):
         assert_allclose(ps.Ws[k], unscaled.Ws[k])

@@ -375,19 +375,25 @@ def test_stta_streaming_linearity():
     assert err(a1, a2) < 1e-10
 
 
-def test_left_partial_contractions_invariant():
-    # the left sketch of stta_streams: V_k pairs modes 1..k of chain and train
+def test_left_sweep_invariant():
+    # the left sketch of stta_streams: V_k pairs modes 1..k of chain and
+    # train; with an (operator, train) pair, of chain and the product h x
     dims = (2, 3, 2, 2)
     x = tt_random(dims, (1, 2, 3, 2, 1), seed=61)
     chain = left_gaussian_chain(dims, [1, 2, 3, 2, 1], "real", seed=4)
-    vs = tt._left_sweep(chain, x.cores, np.ones((1, 1)))
-    for k in range(1, len(dims) + 1):
-        g_head = oracle_dense(TensorTrain(chain[:k]))
-        x_head = oracle_dense(TensorTrain(x.cores[:k]))
-        g_head = g_head.reshape(-1, chain[k - 1].shape[2])
-        x_head = x_head.reshape(-1, x.cores[k - 1].shape[2])
-        expect = g_head.T @ x_head
-        assert rel_err(vs[k - 1], expect) < 1e-12
+    rng = np.random.default_rng(62)
+    h = TTOperator([rng.standard_normal((a, n, n, b))
+                    for a, n, b in zip((1, 2, 2, 3), dims, (2, 2, 3, 1))])
+    hx = tto_apply_assemble(h, x)  # the dense oracle's input only
+    for ops, y in [(x.cores, x), (list(zip(h.cores, x.cores)), hx)]:
+        vs = tt._left_sweep(chain, ops, np.ones((1, 1)))
+        for k in range(1, len(dims) + 1):
+            g_head = oracle_dense(TensorTrain(chain[:k]))
+            y_head = oracle_dense(TensorTrain(y.cores[:k]))
+            g_head = g_head.reshape(-1, chain[k - 1].shape[2])
+            y_head = y_head.reshape(-1, y.cores[k - 1].shape[2])
+            expect = g_head.T @ y_head
+            assert rel_err(vs[k - 1], expect) < 1e-12
 
 
 def test_stta_oversampling_lists():

@@ -108,6 +108,32 @@ def test_inner_block_trains_matches_dense(rng):
     assert_allclose(tt_inner(x, y), expect, rtol=1e-12)
 
 
+def random_tto(rng, dims_out, dims_in, ranks, field="real"):
+    x = random_tt(rng, [n * m for n, m in zip(dims_out, dims_in)], ranks, field)
+    return TTOperator([c.reshape(c.shape[0], n, m, c.shape[2])
+                       for c, n, m in zip(x.cores, dims_out, dims_in)])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_inner_operator_pair_matches_dense(rng, field):
+    # <x, h y> from one sweep, with n_out != n_in and unequal train ranks
+    h = random_tto(rng, (2, 3, 2), (3, 2, 4), (1, 2, 3, 1), field)
+    x = random_tt(rng, (2, 3, 2), (1, 3, 2, 1), field)
+    y = random_tt(rng, (3, 2, 4), (1, 2, 4, 1), field)
+    expect = np.vdot(oracle_vector(x), tto_dense(h) @ oracle_vector(y))
+    assert_allclose(tt_inner(x, (h, y)), expect, rtol=1e-12)
+
+
+def test_inner_operator_pair_dims_mismatch(rng):
+    h = random_tto(rng, (2, 3), (3, 2), (1, 2, 1))
+    x = random_tt(rng, (2, 3), (1, 2, 1))
+    y = random_tt(rng, (3, 2), (1, 2, 1))
+    with pytest.raises(ValueError, match="operator input dims"):
+        tt_inner(x, (h, x))
+    with pytest.raises(ValueError, match="mode dimension"):
+        tt_inner(y, (h, y))
+
+
 @pytest.mark.parametrize("dims,ranks", [
     ((2, 3, 2), [(1, 2, 3, 1), (1, 1, 1, 1), (1, 2, 2, 1)]),
     ((5,), [(1, 1), (1, 1), (1, 1), (1, 1)]),
@@ -220,6 +246,16 @@ def test_linear_combination_dense(rng):
     expect = sum(a * oracle_vector(t) for a, t in zip(coeffs, terms))
     assert rel_err(oracle_vector(out), expect) < 1e-12
     assert out.ranks == (1, 6, 6, 1)
+    # one term, and complex coefficients on terms of unequal ranks
+    one = tt_linear_combination(terms[:1], [-1.5])
+    assert_allclose(oracle_vector(one), -1.5 * oracle_vector(terms[0]), rtol=1e-15)
+    assert one.ranks == terms[0].ranks
+    terms[1] = random_tt(rng, (2, 3, 2), (1, 1, 3, 1))
+    coeffs = [0.5 - 2j, 1j, 2.0]
+    out = tt_linear_combination(terms, coeffs)
+    expect = sum(a * oracle_vector(t) for a, t in zip(coeffs, terms))
+    assert rel_err(oracle_vector(out), expect) < 1e-12
+    assert out.ranks == (1, 5, 7, 1) and out.field == "complex"
 
 
 def test_linear_combination_single_mode(rng):
