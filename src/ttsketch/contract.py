@@ -8,19 +8,16 @@ large intermediate train.
 
 Layout.  A realized sketch keeps core k of all P blocks as one stacked
 array G_k of shape (P, l_k, n_k, l_{k+1}).  One right-to-left sweep carries
-w_k of shape (P, l_k, chi_k) and emits W_k = w_k.reshape(P * l_k, chi_k),
-so the rows of every W_k are block-major over the P sketch blocks.  The
-global 1/sqrt(P) factor is applied exactly once, when W_1 is emitted.
+W_k of shape (P * l_k, chi_k), whose rows are block-major over the P sketch
+blocks.  The global 1/sqrt(P) factor is applied exactly once, when W_1 is
+emitted.
 
-Contraction order.  Each core's step is a fixed sequence of matmuls batched
-over the P blocks, chosen by its local operator:
-
-* a train core X_k: contract w with X_k, then with G_k;
-* an operator core and a train core (H_k, X_k): contract w with X_k, then
-  with H_k, then with G_k; the combined bond is operator bond major;
-* Hadamard factor cores [X_k^1, ..., X_k^J]: contract w with G_k first,
-  then each factor as a matmul batched over the shared mode index, which is
-  summed out last.
+Contraction order.  The order for each kind of local operator (a train
+core, an (operator core, train core) pair, a list of Hadamard factor cores)
+is stated once, at ``_left_step``.  A right-to-left step is the left step
+of the mirrored local operator (``_mirror``: its left and right bonds
+swapped) applied to w, followed by one matmul with G_k batched over the P
+blocks.
 """
 
 import numpy as np
@@ -62,53 +59,27 @@ class PartialSketchSet:
         return cls(ws)
 
 
-def _step(g, w, op):
-    """One core of the right-to-left sweep.
-
-    ``g`` is the stacked sketch core (P, l, n, l'), ``w`` the carried
-    partial (P, l', chi') and ``op`` the local operator of this core; the
-    result is (P, l, chi).  Each case contracts in a fixed order of
-    batched matmuls.
-    """
-    p, l, n, lr = g.shape
-    if isinstance(op, tuple):
-        # (operator core (a, n, m, A), train core (c, m, C)); chi' = A C.
-        h, x = op
-        a, _, m, ar = h.shape
-        c, _, cr = x.shape
-        t = w.reshape(p * lr * ar, cr) @ x.reshape(c * m, cr).T
-        t = t.reshape(p, lr, ar, c, m).transpose(0, 1, 3, 4, 2).reshape(p * lr * c, m * ar)
-        t = t @ h.reshape(a * n, m * ar).T
-        t = t.reshape(p, lr, c, a, n).transpose(0, 4, 1, 3, 2).reshape(p, n * lr, a * c)
-        return g.reshape(p, l, n * lr) @ t
-    if isinstance(op, list):
-        # Hadamard factor cores (a_j, n, A_j); chi' = A_1 ... A_J.  The
-        # sketch goes first.  Per mode index the partial is held as a matrix
-        # whose rows are the next factor's bond A_j: one matmul with that
-        # factor's slice makes a_j the rows, and the transpose moves a_j
-        # behind the (P, l) rows and A_{j+1} to the front.  The mode index
-        # is summed out last.
-        t = (g.transpose(2, 0, 1, 3) @ w).reshape(n, p * l, -1).transpose(0, 2, 1)
-        for f in op:
-            t = f.transpose(1, 0, 2) @ t.reshape(n, f.shape[2], -1)
-            t = t.transpose(0, 2, 1)
-        return t.sum(axis=0).reshape(p, l, -1)
-    # train core (c, n, a); chi' = a.
-    c = op.shape[0]
-    t = op.reshape(c * n, -1) @ w.transpose(0, 2, 1)
-    return g.reshape(p, l, n * lr) @ t.reshape(p, c, n * lr).transpose(0, 2, 1)
-
-
 def _left_step(p, op):
-    """One core of a left-to-right projection sweep.
+    """One core of a projection sweep: the one contraction order of each
+    kind of local operator.
 
     ``p`` (q, chi) projects the left bond of this core's local operator,
-    ``op``, which is a train core (c, n, C) with chi = c, or an (operator
-    core (a, n, m, A), train core (c, m, C)) pair with chi = a c, operator
-    bond major.  The result is the projected core (q, n, chi'), with chi' =
-    C or A C, again operator bond major, as in ``_step``.  The one left
-    projection: ``tt._sweep_terms``, ``tt._left_sweep`` and
-    ``rounding.stta_streams`` call it.
+    ``op``; the result is the projected core (q, n, chi').  ``op`` is
+
+    * a train core (c, n, C): chi = c, chi' = C;
+    * an (operator core (a, n, m, A), train core (c, m, C)) pair: chi = a c
+      and chi' = A C, operator bond major; p is contracted with the train
+      core, then with the operator core;
+    * a list of Hadamard factor cores (a_j, n, A_j): chi = a_1 ... a_J and
+      chi' = A_1 ... A_J, factor 1 major.  Per mode index the partial is
+      held as a matrix whose rows are the next factor's bond a_j: one
+      matmul with that factor's slice makes A_j the rows, and the transpose
+      moves A_j behind and a_{j+1} to the front.  The first matmul
+      broadcasts p over the mode index.
+
+    Every projection in the package goes through it: ``tt._sweep_terms``,
+    ``tt._left_sweep`` and ``rounding.stta_streams`` from the left, and
+    ``_sweep`` from the right, on mirrored operators.
     """
     q = p.shape[0]
     if isinstance(op, tuple):
@@ -119,17 +90,40 @@ def _left_step(p, op):
         t = t.reshape(q, a, m, cr).transpose(0, 3, 1, 2).reshape(q * cr, a * m)
         t = t @ h.transpose(0, 2, 1, 3).reshape(a * m, n * ar)
         return t.reshape(q, cr, n, ar).transpose(0, 2, 3, 1).reshape(q, n, ar * cr)
+    if isinstance(op, list):
+        t = p.T[None]
+        for f in op:
+            t = (f.transpose(1, 2, 0) @ t.reshape(len(t), f.shape[0], -1)).transpose(0, 2, 1)
+        return t.reshape(len(t), q, -1).transpose(1, 0, 2)
     c, n, cr = op.shape
     return (p @ op.reshape(c, n * cr)).reshape(q, n, cr)
 
 
+def _mirror(op):
+    """The local operator ``op`` of ``_left_step`` with its left and right
+    bonds swapped: the same core of the chain with its modes reversed."""
+    if isinstance(op, tuple):
+        h, x = op
+        return h.transpose(3, 1, 2, 0), x.transpose(2, 1, 0)
+    if isinstance(op, list):
+        return [_mirror(f) for f in op]
+    return op.transpose(2, 1, 0)
+
+
 def _sweep(sk, ops):
-    """W_1..W_d of one sketch against per-core local operators."""
-    w = np.ones((sk.cores[0].shape[0], 1, 1), dtype=sk.cores[0].dtype)
+    """W_1..W_d of one sketch against per-core local operators.
+
+    Right to left: at core k the carried W_{k+1} (P l', chi') projects the
+    mirrored local operator through ``_left_step``, and one matmul batched
+    over the P blocks contracts the result with G_k over (n, l').
+    """
+    w = np.ones((sk.cores[0].shape[0], 1), dtype=sk.cores[0].dtype)
     ws = [None] * len(ops)
     for k in range(len(ops) - 1, -1, -1):
-        w = _step(sk.cores[k], w, ops[k])
-        ws[k] = w.reshape(-1, w.shape[2])
+        p, l, n, lr = sk.cores[k].shape
+        t = _left_step(w, _mirror(ops[k]))
+        t = t.reshape(p, lr, n, -1).transpose(0, 2, 1, 3).reshape(p, n * lr, -1)
+        w = ws[k] = (sk.cores[k].reshape(p, l, n * lr) @ t).reshape(p * l, -1)
     ws[0] = sk.scale * ws[0]
     return PartialSketchSet(ws)
 

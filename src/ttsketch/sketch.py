@@ -25,6 +25,7 @@ f_tt_r
     Included only as a benchmarking baseline.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -89,12 +90,7 @@ class SketchSpec:
             return [self.R] * d + [1]
         if self.variant == "otts":
             # Joint chain over all P blocks; see make_sketch for why.
-            tail = 1
-            pat = [1] * (d + 1)
-            for k in range(d - 1, -1, -1):
-                tail = min(tail * self.dims[k], 2 ** 62)
-                pat[k] = min(self.P * self.R, tail)
-            return pat
+            return [min(self.P * self.R, math.prod(self.dims[k:])) for k in range(d)] + [1]
         if self.variant == "khatri_rao":
             return [1] * (d + 1)
         if self.variant == "gaussian_tt":

@@ -12,10 +12,11 @@ slowest.  Inner products are conjugate-linear in the first argument.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from .contract import _left_step
+from .contract import _left_step, _mirror
 
 # Refuse to densify anything larger than this many entries.
 DEFAULT_DENSE_CAP = 2 ** 20
@@ -92,9 +93,6 @@ class TensorTrain:
     @property
     def is_block(self):
         return self.cores[0].shape[0] != 1 or self.cores[-1].shape[2] != 1
-
-    def copy(self):
-        return TensorTrain([c.copy() for c in self.cores])
 
     def size(self):
         return int(np.prod([float(n) for n in self.dims]))
@@ -286,9 +284,9 @@ def tt_gram(trains):
 
 
 def _stack_gram(stack):
-    """Gram matrix of the rows of a stack: the left sweep of its reversed
+    """Gram matrix of the rows of a stack: the left sweep of its mirrored
     cores, paired with themselves."""
-    flipped = [c.transpose(2, 1, 0) for c in stack.cores[::-1]]
+    flipped = [_mirror(c) for c in stack.cores[::-1]]
     return _left_sweep([c.conj() for c in flipped], flipped, np.ones((1, 1)))[-1]
 
 
@@ -329,9 +327,8 @@ def tt_orthogonalize(x, mode):
         raise ValueError("mode must be 'left' or 'right'")
     if isinstance(x, TTSum):
         raise ValueError("a TTSum is orthogonalized in left mode only")
-    flipped = TensorTrain([c.transpose(2, 1, 0) for c in x.cores[::-1]])
-    left = tt_orthogonalize(flipped, "left")
-    return TensorTrain([c.transpose(2, 1, 0) for c in left.cores[::-1]])
+    left = tt_orthogonalize(TensorTrain([_mirror(c) for c in x.cores[::-1]]), "left")
+    return TensorTrain([_mirror(c) for c in left.cores[::-1]])
 
 
 def _common_dims(trains, what):
@@ -431,23 +428,12 @@ def tt_random(dims, ranks, field="real", seed=0, stream=STREAM_TT):
 
 
 def tt_feasible_ranks(dims, r):
-    """Largest representable ranks <= r for the given dims (plain train)."""
+    """Largest representable ranks <= r for the given dims (plain train):
+    bond k is capped by the exact products of the dims on either side."""
     dims = tuple(dims)
     d = len(dims)
-    ranks = [1] * (d + 1)
-    left = 1
-    caps = [1] * (d + 1)
-    for k in range(d):
-        left = min(left * dims[k], 2 ** 62)
-        caps[k + 1] = left
-    right = 1
-    for k in range(d, 0, -1):
-        caps[k] = min(caps[k], right)
-        right = min(right * dims[k - 1], 2 ** 62)
-    caps[0] = 1
-    for k in range(d + 1):
-        ranks[k] = min(r if 0 < k < d else 1, caps[k])
-    return tuple(ranks)
+    return tuple(min(r, math.prod(dims[:k]), math.prod(dims[k:])) if 0 < k < d else 1
+                 for k in range(d + 1))
 
 
 def tt_from_dense(a, dims, max_rank=None, tol=0.0):

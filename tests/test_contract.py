@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from oracles import oracle_dense, oracle_vector, rel_err
 from ttsketch.contract import (
+    _left_step,
+    _sweep,
     partial_contractions,
     sketch_hadamard,
     sketch_linear_combination,
@@ -13,6 +15,7 @@ from ttsketch.sketch import SketchSpec, make_sketch, sketch_dense
 from ttsketch.tt import (
     TTOperator,
     TensorTrain,
+    _left_sweep,
     tt_hadamard_assemble,
     tt_linear_combination,
     tt_random,
@@ -175,3 +178,49 @@ def test_hadamard_matches_assembled(field, variant, kw, nterms):
     for a, b in zip(ps.Ws, assembled.Ws):
         assert rel_err(a, b) < 1e-12
 
+
+
+@pytest.mark.parametrize("bonds", [[(2, 3), (3, 1)], [(1, 2), (3, 2), (2, 4)]], ids=["J2", "J3"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_left_step_hadamard_factors_match_assembled_core(rng, field, bonds):
+    # The middle cores (a_j, 3, A_j) of plain trains, projected as factors and
+    # as the slice-wise Kronecker core that tt_hadamard_assemble builds.
+    trains = [TensorTrain([gaussian(rng, (1, 2, a), field), gaussian(rng, (a, 3, b), field),
+                           gaussian(rng, (b, 2, 1), field)]) for a, b in bonds]
+    core = tt_hadamard_assemble(trains).cores[1]
+    p = gaussian(rng, (5, core.shape[0]), field)
+    got = _left_step(p, [t.cores[1] for t in trains])
+    assert got.shape == (5, 3, core.shape[2])
+    assert rel_err(got, _left_step(p, core)) < 1e-13
+
+
+def swap_bonds(op):
+    # The first and last axes of every core swapped, written apart from
+    # contract._mirror.
+    if isinstance(op, (tuple, list)):
+        return type(op)(np.swapaxes(c, 0, -1) for c in op)
+    return np.swapaxes(op, 0, -1)
+
+
+@pytest.mark.parametrize("kind", ["train", "pair", "hadamard"])
+@pytest.mark.parametrize("variant,kw", SKETCHES)
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sweep_blocks_match_left_sweep_of_mirrored_chain(rng, field, variant, kw, kind):
+    # Block j's rows of W_1 are the left sweep of that block's cores and the
+    # local operators, both with their bonds swapped and in reverse order.
+    sk = make_sketch(SketchSpec(variant, DIMS, seed=9, field=field, **kw))
+    if kind == "train":
+        ops = tt(60, field=field).cores
+    elif kind == "pair":
+        x = tt(60, dims=(3, 2, 2, 3), field=field)
+        ops = [(gaussian(rng, (a, n, m, b), field), c)
+               for a, n, m, b, c in zip((1, 2, 3, 2), DIMS, x.dims, (2, 3, 2, 1), x.cores)]
+    else:
+        ops = [[a, b] for a, b in zip(tt(60, field=field).cores,
+                                      tt(61, (1, 3, 2, 2, 1), field=field).cores)]
+    w1 = _sweep(sk, ops).Ws[0]
+    rows = sk.cores[0].shape[1]
+    for j in range(sk.cores[0].shape[0]):
+        chain = [swap_bonds(c[j]) for c in sk.cores[::-1]]
+        expect = _left_sweep(chain, [swap_bonds(op) for op in ops[::-1]], np.ones((1, 1)))[-1]
+        assert rel_err(w1[j * rows:(j + 1) * rows], sk.scale * expect) < 1e-12

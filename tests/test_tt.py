@@ -396,6 +396,17 @@ def test_feasible_ranks_capped():
     assert tt_feasible_ranks((2, 2, 2), 100) == (1, 2, 2, 1)
     assert tt_feasible_ranks((2, 2, 2, 2), 100) == (1, 2, 4, 2, 1)
     assert tt_feasible_ranks((4, 4, 4, 4), 3) == (1, 3, 3, 3, 1)
+    # The caps are exact products, also beyond 64 bits.
+    assert tt_feasible_ranks((2,) * 140, 2 ** 80)[70] == 2 ** 70
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 3), (4, 1, 3, 2), (2, 2, 2, 2, 2)])
+def test_feasible_ranks_are_the_ranks_of_a_generic_tensor(rng, dims):
+    # The TT-SVD of a random dense tensor has the largest ranks its dims
+    # allow; capped at r, those are the feasible ranks.
+    a = rng.standard_normal(dims)
+    for r in (1, 2, 3, 5, 100):
+        assert tt_feasible_ranks(dims, r) == tt_from_dense(a, dims, max_rank=r).ranks
 
 
 def test_from_dense_roundtrip(rng):
