@@ -179,7 +179,6 @@ def test_hadamard_matches_assembled(field, variant, kw, nterms):
         assert rel_err(a, b) < 1e-12
 
 
-
 @pytest.mark.parametrize("bonds", [[(2, 3), (3, 1)], [(1, 2), (3, 2), (2, 4)]], ids=["J2", "J3"])
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_left_step_hadamard_factors_match_assembled_core(rng, field, bonds):
