@@ -332,8 +332,7 @@ def osi_sufficient_P(eps, delta, r, c):
 
 def rsvd_constant(alpha, delta, P, R, d, field="real"):
     """Expected low-rank error inflation constant for the sketched range."""
-    p = p_field(field)
-    blow = (1.0 + p / float(R)) ** d - 1.0
+    blow = cq_upper_bound(d, R, field)
     return 1.0 + (1.0 / alpha) * (1.0 + np.sqrt(blow / (P * delta / 2.0)))
 
 

@@ -353,7 +353,8 @@ def run_eigensolve(cfg, seed, out):
     if 2 ** d <= MAX_REFERENCE_STATES:
         e0 = ground_energy(h)
         summary["dense_ground_energy"] = e0
-        summary["rel_energy_error"] = float(abs(quotient - e0) / abs(e0))
+        if e0 != 0:  # a relative error of a zero energy is NaN, not JSON
+            summary["rel_energy_error"] = float(abs(quotient - e0) / abs(e0))
     return summary
 
 

@@ -39,25 +39,18 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
-def _mpo_from_w(w_first, w_mid, w_last, d):
-    """Operator train from boundary rows/columns of a transfer block."""
+def _mpo_from_w(w, d):
+    """Operator train of the transfer block ``w``, a (rl, rr) grid of 2x2
+    blocks: its last row is the first core and its first column the last."""
     if d < 2:
         raise ValueError("need at least two sites")
 
-    def to_core(w):
-        # w is (rl, rr) of 2x2 blocks -> core (rl, 2, 2, rr)
-        rl, rr = len(w), len(w[0])
-        c = np.zeros((rl, 2, 2, rr), dtype=np.result_type(*(np.asarray(b).dtype for row in w for b in row)))
-        for a in range(rl):
-            for b in range(rr):
-                c[a, :, :, b] = w[a][b]
-        return c
+    def to_core(blocks):
+        # (rl, rr) grid of 2x2 blocks -> core (rl, 2, 2, rr)
+        return np.array(blocks).transpose(0, 2, 3, 1).copy()
 
-    cores = [to_core(w_first)]
-    for _ in range(d - 2):
-        cores.append(to_core(w_mid))
-    cores.append(to_core(w_last))
-    return TTOperator(cores)
+    cores = [to_core(w[-1:])] + [to_core(w) for _ in range(d - 2)]
+    return TTOperator(cores + [to_core([row[:1] for row in w])])
 
 
 def tto_tfim(d, J=1.0, g=1.0):
@@ -71,9 +64,7 @@ def tto_tfim(d, J=1.0, g=1.0):
         [PAULI_Z, z, z],
         [-g * PAULI_X, -J * PAULI_Z, PAULI_I],
     ]
-    first = [mid[2]]
-    last = [[row[0]] for row in mid]
-    return _mpo_from_w(first, mid, last, d)
+    return _mpo_from_w(mid, d)
 
 
 def tto_heisenberg(d, Jx=1.0, Jy=1.0, Jz=1.0, h=0.0):
@@ -89,9 +80,7 @@ def tto_heisenberg(d, Jx=1.0, Jy=1.0, Jz=1.0, h=0.0):
         [PAULI_Z, z, z, z, z],
         [h * PAULI_Z, Jx * PAULI_X, Jy * PAULI_Y, Jz * PAULI_Z, PAULI_I],
     ]
-    first = [mid[4]]
-    last = [[row[0]] for row in mid]
-    return _mpo_from_w(first, mid, last, d)
+    return _mpo_from_w(mid, d)
 
 
 def _tto_apply_dense(h, x):
@@ -184,10 +173,11 @@ def true_rayleigh_quotient(h, x):
 def sketched_rayleigh_ritz(h, cfg=None):
     """Restarted sketched Rayleigh-Ritz ground-state iteration.
 
-    Each restart runs ``cfg.m`` basis-building steps at the current ranks,
+    Each restart builds up to ``cfg.m`` basis vectors at the current ranks,
     solves the small sketched Ritz problem, keeps the best Ritz vector, and
-    doubles the ranks.  Returns a dict with the final Ritz value/vector and
-    a per-restart history.
+    doubles the ranks.  Returns a dict with the value, vector and
+    sketched_residual of the restart with the smallest sketched residual,
+    and the per-restart history.
     """
     if cfg is None:
         cfg = RayleighRitzConfig()
@@ -202,27 +192,27 @@ def sketched_rayleigh_ritz(h, cfg=None):
     history = []
     best = None
     for restart in range(cfg.max_restarts):
-        # A sketch is linear, so the sketches of x / ||S x|| are those of x
-        # scaled; each basis vector is swept once.
-        ps = partial_contractions(sk, v0)
-        nv = np.linalg.norm(ps.vector())
-        basis = [tt_scale(v0, 1.0 / nv)]
-        ps_b = [PartialSketchSet.combine([ps], [1.0 / nv])]
-        ps_h = []
-        for _ in range(cfg.m - 1):
+        # One step per basis vector: sweep its sketches once, divide it by
+        # its sketched norm (a sketch is linear, so the sketches of
+        # v / ||S v|| are those of v scaled), sketch H b, and form the next
+        # Krylov update.  Stop at m vectors or when a sketch vanishes.
+        basis, ps_b, ps_h = [], [], []
+        v = v0
+        while True:
+            ps = partial_contractions(sk, v)
+            nv = np.linalg.norm(ps.vector())
+            if nv < 1e-300:
+                break
+            basis.append(tt_scale(v, 1.0 / nv))
+            ps_b.append(PartialSketchSet.combine([ps], [1.0 / nv]))
             ps_h.append(sketch_matvec(sk, h, basis[-1]))
+            if len(basis) >= cfg.m:
+                break
             c_mat = np.stack([p.vector() for p in ps_b], axis=1)
             alpha, *_ = np.linalg.lstsq(c_mat, ps_h[-1].vector(), rcond=None)
             coeffs = [1.0] + [-a for a in alpha]
             ps_comb = PartialSketchSet.combine([ps_h[-1]] + ps_b, coeffs)
-            vj = tt_rand_round(TTSum([(h, basis[-1])] + basis, coeffs), ranks, partials=ps_comb)
-            ps = partial_contractions(sk, vj)
-            nv = np.linalg.norm(ps.vector())
-            if nv < 1e-300:
-                break
-            basis.append(tt_scale(vj, 1.0 / nv))
-            ps_b.append(PartialSketchSet.combine([ps], [1.0 / nv]))
-        ps_h.append(sketch_matvec(sk, h, basis[-1]))
+            v = tt_rand_round(TTSum([(h, basis[-1])] + basis, coeffs), ranks, partials=ps_comb)
         c_mat = np.stack([p.vector() for p in ps_b], axis=1)
         d_mat = np.stack([p.vector() for p in ps_h], axis=1)
         lam, y, res = ritz_solve(c_mat, d_mat)
@@ -244,7 +234,6 @@ def sketched_rayleigh_ritz(h, cfg=None):
         if best is None or entry["sketched_residual"] < best["sketched_residual"]:
             best = dict(entry, vector=ritz)
         if entry["sketched_residual"] < cfg.tol:
-            best = dict(entry, vector=ritz)
             break
         v0 = ritz
         ranks = min(2 * ranks, cfg.rank_cap)
@@ -253,5 +242,4 @@ def sketched_rayleigh_ritz(h, cfg=None):
         "vector": best["vector"],
         "sketched_residual": best["sketched_residual"],
         "history": history,
-        "sketch": sk,
     }

@@ -136,6 +136,21 @@ def test_eigensolve_command(tmp_path):
     assert len(rows) >= 2
 
 
+def test_eigensolve_zero_hamiltonian_writes_valid_json(tmp_path):
+    # The relative error of a zero ground energy is NaN, which JSON lacks.
+    cfg = write_cfg(tmp_path / "cfg.json", {"J": 0, "g": 0, "d": 6})
+    assert main(["eigensolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def reject(name):
+        raise ValueError("summary.json holds " + name)
+
+    with open(tmp_path / "summary.json") as f:
+        s = json.load(f, parse_constant=reject)
+    assert s["dense_ground_energy"] == 0
+    assert s["ritz_value"] == 0
+    assert "rel_energy_error" not in s
+
+
 def test_convert_round_trip(tmp_path):
     x = tt_random((2, 3, 2), (1, 2, 2, 1), seed=5)
     src = str(tmp_path / "x.tt")

@@ -15,7 +15,18 @@ from ttsketch.eigensolver import (
     tto_heisenberg,
     tto_tfim,
 )
-from ttsketch.tt import tt_inner, tt_random, tto_apply_assemble, tto_dense
+from ttsketch.contract import partial_contractions, sketch_matvec
+from ttsketch.sketch import SketchSpec, make_sketch
+from ttsketch.tt import (
+    STREAM_EXPERIMENT,
+    tt_feasible_ranks,
+    tt_inner,
+    tt_norm,
+    tt_random,
+    tt_scale,
+    tto_apply_assemble,
+    tto_dense,
+)
 
 
 def kron_chain(mats):
@@ -172,3 +183,29 @@ def test_sketched_rayleigh_ritz_heisenberg_runs():
     out = sketched_rayleigh_ritz(op, cfg)
     lam = true_rayleigh_quotient(op, out["vector"])
     assert abs(lam - w[0]) / abs(w[0]) < 1e-4
+
+
+def test_sketched_rayleigh_ritz_zero_hamiltonian():
+    # The first Krylov update of H = 0 is zero, so its sketch vanishes and
+    # the basis stops at one vector, with Ritz value 0 and residual 0.
+    out = sketched_rayleigh_ritz(tto_tfim(6, J=0.0, g=0.0))
+    assert out["value"] == 0
+    assert out["sketched_residual"] == 0
+    assert len(out["history"]) == 1
+
+
+def test_sketched_rayleigh_ritz_one_vector_basis():
+    # With m = 1, restart 0's Ritz value is the least-squares ratio of the
+    # start vector's sketches S(H v) and S(v).
+    op = tto_tfim(6, J=1.0, g=1.5)
+    cfg = RayleighRitzConfig(ranks=4, m=1, max_restarts=2, P=4, R=8, seed=5)
+    out = sketched_rayleigh_ritz(op, cfg)
+    dims = op.dims_out
+    sk = make_sketch(SketchSpec(cfg.variant, dims, P=cfg.P, R=cfg.R, seed=cfg.seed))
+    v = tt_random(dims, tt_feasible_ranks(dims, cfg.ranks), seed=cfg.seed,
+                  stream=STREAM_EXPERIMENT)
+    v = tt_scale(v, 1.0 / tt_norm(v))
+    c = partial_contractions(sk, v).vector()[:, None]
+    ratio, *_ = np.linalg.lstsq(c, sketch_matvec(sk, op, v).vector(), rcond=None)
+    assert_allclose(out["history"][0]["value"], ratio[0], rtol=1e-12)
+    assert out["history"][0]["ritz_values"].shape == (1,)
