@@ -25,7 +25,6 @@ from .eigensolver import (
     RayleighRitzConfig,
     ground_energy,
     sketched_rayleigh_ritz,
-    true_rayleigh_quotient,
     tto_heisenberg,
     tto_tfim,
 )
@@ -341,7 +340,7 @@ def run_eigensolve(cfg, seed, out):
         ["restart", "ranks", "ritz_value", "sketched_residual"],
         rows,
     )
-    quotient = true_rayleigh_quotient(h, res["vector"])
+    quotient = res["true_rayleigh_quotient"]
     summary = {
         "model": model,
         "d": d,

@@ -106,16 +106,13 @@ def tt_round(x, max_ranks=None, tol=None):
     return TensorTrain(cores)
 
 
-def default_round_sketch(dims, ranks, field="real", seed=0):
-    """Nested Gaussian chain sketch whose bond pattern equals the targets."""
-    d = len(dims)
-    caps = _rank_list(ranks, d)
-    pat = [max(caps[k], 1) for k in range(d)] + [1]
-    pat[0] = max(pat[1], 1)
-    return make_sketch(
-        SketchSpec("gaussian_tt", tuple(dims), P=1, R=max(pat), field=field, seed=seed,
-                   ranks=tuple(pat))
-    )
+def _chain_sketch(dims, bonds, field, seed):
+    """P = 1 Gaussian chain with inner bonds ``bonds[1:d]``, whose row count
+    repeats the first of them."""
+    pat = [max(b, 1) for b in bonds[1:len(dims)]] + [1]
+    pat = pat[:1] + pat
+    return make_sketch(SketchSpec("gaussian_tt", tuple(dims), R=max(pat), field=field,
+                                  seed=seed, ranks=tuple(pat)))
 
 
 def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
@@ -143,7 +140,7 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     caps = _rank_list(max_ranks, d)
     if d > 1 and partials is None:
         if sk is None:
-            sk = default_round_sketch(dims, caps, field=x.field, seed=seed)
+            sk = _chain_sketch(dims, caps, x.field, seed)
         partials = sketch_linear_combination(sk, *_terms(x))
     tails = [math.prod(dims[k + 1:]) for k in range(d)]
 
@@ -176,22 +173,11 @@ class STTASketchPair:
         self.dims = tuple(dims)
         d = len(self.dims)
         self.ranks = _rank_list(ranks, d)
-        if oversample is None:
-            over = list(self.ranks)
-        elif np.isscalar(oversample):
-            over = [int(oversample)] * (d + 1)
-        else:
-            over = [int(v) for v in oversample]
+        over = self.ranks if oversample is None else _rank_list(oversample, d)
         self.left_bonds = [1] + self.ranks[1:d] + [1]
-        right_pat = [1] * (d + 1)
-        for k in range(1, d):
-            right_pat[k] = self.ranks[k] + over[k]
-        right_pat[0] = max(right_pat[1], 1)
         self.left_cores = left_gaussian_chain(self.dims, self.left_bonds, field, seed)
-        self.right = make_sketch(
-            SketchSpec("gaussian_tt", self.dims, P=1, R=max(right_pat), field=field,
-                       seed=seed, ranks=tuple(right_pat))
-        )
+        self.right = _chain_sketch(self.dims, [r + o for r, o in zip(self.ranks, over)],
+                                   field, seed)
 
 
 def stta_streams(x, sketches):
@@ -217,19 +203,23 @@ def stta_streams(x, sketches):
     return streams
 
 
-def stta_assemble(streams, rcond=1e-12):
+def stta_assemble(streams):
     """Cores from streams: Y_k = Z_k pinv(S_k), last core Y_d = Z_d."""
     cores = []
     d = len(streams)
     for k, (s, z) in enumerate(streams):
         if k < d - 1:
-            cores.append(np.tensordot(z, pinv_trunc(s, rcond=rcond), axes=(2, 0)))
+            cores.append(np.tensordot(z, pinv_trunc(s), axes=(2, 0)))
         else:
             cores.append(z)
     return TensorTrain(cores)
 
 
-def stta(x, ranks, oversample=None, seed=0, rcond=1e-12):
-    """Two-sided streaming rounding to the given target ranks."""
+def stta(x, ranks, oversample=None, seed=0):
+    """Two-sided streaming rounding to the given target ranks.
+
+    ``ranks`` and ``oversample`` (default ``ranks``) are each a scalar or a
+    list of d + 1 entries; the right sketch's bonds are their sum.
+    """
     sketches = STTASketchPair(x.dims, ranks, oversample=oversample, field=x.field, seed=seed)
-    return stta_assemble(stta_streams(x, sketches), rcond=rcond)
+    return stta_assemble(stta_streams(x, sketches))

@@ -8,21 +8,21 @@ kept separately in ``scale`` so structured contractions can defer it.
 Variants
 --------
 tts
-    Uniform block rank ``R``; every core entry iid normal with variance 1/R,
-    last core has right bond 1.
+    Uniform block rank ``R``: left bonds ``[R] * d + [1]``.
 otts
     Same chain shape with ranks clipped to the tail dimension product; core
     unfoldings are Haar row-orthonormal frames scaled so each block has
     exactly orthogonal rows.
 khatri_rao
-    R = 1; one base vector per mode and block (gaussian, rademacher, or
-    spherical rows of norm sqrt(n_k)).
+    ``tts`` at R = 1; the base may also be rademacher, or spherical rows of
+    norm sqrt(n_k).
 gaussian_tt
-    P = 1, per-mode rank list allowed; core k entries have variance equal to
-    the reciprocal of its left bond.
+    ``tts`` at P = 1; an explicit left-bond list ``ranks`` is allowed.
 f_tt_r
-    One row per block; boundary cores have variance 1/sqrt(R), interior 1/R.
-    Included only as a benchmarking baseline.
+    One row per block; a benchmarking baseline only.
+
+Gaussian core entries have variance one over the core's left bond, except
+f_tt_r's two boundary cores, whose variance is 1/sqrt(R).
 """
 
 import math
@@ -86,20 +86,14 @@ class SketchSpec:
     def bond_pattern(self):
         """Left-bond list l[0..d] of each block's core chain."""
         d = len(self.dims)
-        if self.variant == "tts":
-            return [self.R] * d + [1]
+        if self.ranks is not None:
+            return list(self.ranks)
         if self.variant == "otts":
             # Joint chain over all P blocks; see make_sketch for why.
             return [min(self.P * self.R, math.prod(self.dims[k:])) for k in range(d)] + [1]
-        if self.variant == "khatri_rao":
-            return [1] * (d + 1)
-        if self.variant == "gaussian_tt":
-            if self.ranks is not None:
-                return list(self.ranks)
-            return [self.R] * d + [1]
         if self.variant == "f_tt_r":
             return [1] + [self.R] * (d - 1) + [1]
-        raise AssertionError
+        return [self.R] * d + [1]  # tts; khatri_rao at R = 1, gaussian_tt at P = 1
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -154,12 +148,10 @@ def _block_cores(spec, P):
             norms = np.linalg.norm(g.reshape(P, -1), axis=1)
             cores.append(g * (np.sqrt(n) / norms)[:, None, None, None])
         else:
-            if spec.variant == "khatri_rao":
-                var = 1.0
-            elif spec.variant == "f_tt_r":
-                var = 1.0 / np.sqrt(spec.R) if k in (0, d - 1) else 1.0 / spec.R
-            else:  # tts / gaussian_tt: variance is one over the left bond
-                var = 1.0 / (spec.R if spec.variant == "tts" else pat[k])
+            if spec.variant == "f_tt_r" and k in (0, d - 1):
+                var = 1.0 / np.sqrt(spec.R)
+            else:
+                var = 1.0 / pat[k]
             cores.append(gaussian(rng, shape, spec.field, np.sqrt(var)))
     return cores
 

@@ -174,6 +174,19 @@ def test_sketched_rayleigh_ritz_default_tfim_at_pass_seed_507013():
     assert abs(true_rayleigh_quotient(op, out["vector"]) - e0) / abs(e0) < 1e-3
 
 
+def test_sketched_rayleigh_ritz_default_tfim_returns_lowest_quotient_at_seed_50():
+    # At seed 50 restart 2 has the smallest sketched residual but is an
+    # excited state (relative error 7.1e-2); restart 4 is near the ground
+    # state.  The solve returns the restart with the lowest true quotient.
+    op = tto_tfim(10, J=1.0, g=1.5)
+    out = sketched_rayleigh_ritz(op, RayleighRitzConfig(seed=50))
+    e0 = ground_energy(op)
+    q = true_rayleigh_quotient(op, out["vector"])
+    assert out["true_rayleigh_quotient"] == q
+    assert q == min(e["true_rayleigh_quotient"] for e in out["history"])
+    assert abs(q - e0) / abs(e0) < 1e-3
+
+
 def test_sketched_rayleigh_ritz_heisenberg_runs():
     d = 5
     op = tto_heisenberg(d, h=0.5)

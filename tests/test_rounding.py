@@ -171,6 +171,26 @@ def test_rand_round_ranks_within_tail_size(dims):
         assert err(y, x) < 1e-10
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dims, caps, pattern", [
+    ((3,), 2, [1, 1]),
+    ((2, 3), 2, [2, 2, 1]),
+    ((2, 3, 2, 2), 3, [3, 3, 3, 3, 1]),
+    ((2, 3, 2, 2), [1, 2, 3, 2, 1], [2, 2, 3, 2, 1]),
+    ((2, 3, 2, 3, 2), [1, 2, 4, 4, 2, 1], [2, 2, 4, 4, 2, 1]),
+])
+def test_rand_round_default_sketch_is_a_gaussian_chain(field, dims, caps, pattern):
+    # The default sketch is a P = 1 Gaussian chain whose inner bonds are
+    # the caps and whose row count repeats the first of them.
+    d = len(dims)
+    x = tt_random(dims, (1,) + (4,) * (d - 1) + (1,), field=field, seed=23)
+    sk = make_sketch(SketchSpec("gaussian_tt", dims, R=max(pattern), field=field, seed=9,
+                                ranks=pattern))
+    a, b = tt_rand_round(x, caps, seed=9), tt_rand_round(x, caps, sk=sk)
+    for ca, cb in zip(a.cores, b.cores):
+        np.testing.assert_array_equal(ca, cb)
+
+
 @pytest.mark.parametrize("R", [1, 2, 4, 8, 16])
 def test_rand_round_hadamard_bonds_within_target_are_exact(R):
     # The default hadamard product (bits = 20, d = 60) has rank 18, below
@@ -400,6 +420,35 @@ def test_stta_oversampling_lists():
     x = make_x(15)
     y = stta(inflate(x), list(RANKS), oversample=[0, 1, 2, 2, 1, 0], seed=7)
     assert err(y, x) < 1e-8
+
+
+@pytest.mark.parametrize("dims, ranks, oversample, pattern", [
+    ((3,), 2, None, [1, 1]),
+    (DIMS, list(RANKS), None, [4, 4, 6, 6, 4, 1]),
+    (DIMS, list(RANKS), 1, [3, 3, 4, 4, 3, 1]),
+    ((2, 3, 2, 2), [1, 2, 3, 2, 1], [0, 2, 1, 0, 5], [4, 4, 4, 2, 1]),
+])
+def test_stta_right_sketch_bonds(dims, ranks, oversample, pattern):
+    # The right sketch's inner bonds are ranks plus oversample, and its row
+    # count repeats the first of them.
+    pair = STTASketchPair(dims, ranks, oversample=oversample, seed=2)
+    assert pair.right.spec.bond_pattern() == pattern
+
+
+def test_stta_oversample_forms():
+    # A scalar oversample is the list with it at every inner bond; a list
+    # must have d + 1 entries.
+    d = len(DIMS)
+    x = make_x(16)
+    scalar = stta(x, list(RANKS), oversample=2, seed=8)
+    listed = stta(x, list(RANKS), oversample=[0] + [2] * (d - 1) + [0], seed=8)
+    for ca, cb in zip(scalar.cores, listed.cores):
+        np.testing.assert_array_equal(ca, cb)
+    for bad in ([2] * d, [2] * (d + 2)):
+        with pytest.raises(ValueError, match="d\\+1"):
+            STTASketchPair(DIMS, list(RANKS), oversample=bad)
+        with pytest.raises(ValueError, match="d\\+1"):
+            stta(x, list(RANKS), oversample=bad)
 
 
 # ------------------------------------------------------------- pinv_trunc

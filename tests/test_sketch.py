@@ -45,6 +45,23 @@ def test_bond_patterns():
                       ranks=(3, 2, 2, 1)).bond_pattern() == [3, 2, 2, 1]
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (2, 3, 4, 2)])
+def test_tts_interpolates_khatri_rao_and_gaussian_tt(field, dims):
+    # khatri_rao is tts at R = 1 and gaussian_tt is tts at P = 1: the same
+    # draws and the same scale.
+    pairs = [(SketchSpec("khatri_rao", dims, P=5, field=field, seed=3),
+              SketchSpec("tts", dims, P=5, R=1, field=field, seed=3)),
+             (SketchSpec("gaussian_tt", dims, R=4, field=field, seed=3),
+              SketchSpec("tts", dims, P=1, R=4, field=field, seed=3))]
+    for special, general in pairs:
+        a, b = make_sketch(special), make_sketch(general)
+        assert a.scale == b.scale
+        assert len(a.cores) == len(b.cores)
+        for ca, cb in zip(a.cores, b.cores):
+            np.testing.assert_array_equal(ca, cb)
+
+
 def test_otts_rank_clipping():
     # chain ranks are clipped by the remaining dimension product
     spec = SketchSpec("otts", (2, 2, 2), P=1, R=4)
