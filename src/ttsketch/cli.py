@@ -209,19 +209,20 @@ def run_embed_quality(cfg, seed, out):
         basis = _kron_basis(d, n, r, seed)
     else:
         basis = _tt_basis(d, n, r, cfg["basis_rank"], seed)
-    draws = [(spec, t) for spec in specs for t in range(trials)]
-    sketches = (make_sketch(replace(spec, seed=seed * 1000003 + 7919 * t)) for spec, t in draws)
-    rows = [[d, n, r, spec.variant, spec.P, spec.R, t, lo, hi]
-            for (spec, t), (lo, hi) in zip(draws, analysis.empirical_spectrum(basis, sketches))]
+    labels = [s.variant if s.base == "gaussian" else "%s[%s]" % (s.variant, s.base) for s in specs]
+    draws = [(label, spec, t) for label, spec in zip(labels, specs) for t in range(trials)]
+    sketches = (make_sketch(replace(spec, seed=seed * 1000003 + 7919 * t)) for _, spec, t in draws)
+    rows = [[d, n, r, label, spec.P, spec.R, t, lo, hi]
+            for (label, spec, t), (lo, hi) in zip(draws, analysis.empirical_spectrum(basis, sketches))]
     _write_csv(
         os.path.join(out, "embed_quality.csv"),
         ["d", "n", "r", "variant", "P", "R", "trial", "sigma_min_sq", "sigma_max_sq"],
         rows,
     )
     summary = {}
-    for spec in specs:
-        sel = [row for row in rows if row[3:6] == [spec.variant, spec.P, spec.R]]
-        summary["%s_P%d_R%d" % (spec.variant, spec.P, spec.R)] = {
+    for label, spec in zip(labels, specs):
+        sel = [row for row in rows if row[3:6] == [label, spec.P, spec.R]]
+        summary["%s_P%d_R%d" % (label, spec.P, spec.R)] = {
             "sigma_min_sq": _summarize([s[7] for s in sel]),
             "sigma_max_sq": _summarize([s[8] for s in sel]),
         }

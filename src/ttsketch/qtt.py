@@ -39,7 +39,6 @@ class DyadicGrid:
         return out
 
 
-
 def qtt_exp_linear(grid, shift, coeffs):
     """Rank-1 train of exp(shift + sum_v coeffs[v] * x_v).
 
@@ -62,68 +61,44 @@ def _rot(t):
 
 
 def qtt_cos_linear(grid, phase, coeffs):
-    """Rank-2 train of cos(phase + sum_v coeffs[v] * x_v).
+    """Rank-2 train of cos(phase + sum_v coeffs[v] * x_v), for real arguments.
 
-    Carries the (cos, sin) pair of the running angle along the bond; each
-    bit applies a plane rotation by its contribution.
+    The bond carries the (cos, sin) pair of the running angle: at bit value
+    i, core k is the plane rotation by t_k i, t_k being its variable's
+    coefficient times its bit weight, with the phase added on the first
+    core.  The first core keeps the rotations' first row and the last core
+    their first column, which covers a single bit too.
     """
+    if np.iscomplexobj(phase) or np.iscomplexobj(coeffs):
+        raise ValueError("qtt_cos_linear takes a real phase and real coefficients")
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (grid.n_vars,):
         raise ValueError("need one coefficient per variable")
-    weights = grid.bit_weights()
-    d = grid.d
-    if d == 1:
-        v, w = weights[0]
-        c = np.array([np.cos(phase), np.cos(phase + coeffs[v] * w)]).reshape(1, 2, 1)
-        return TensorTrain([c])
     cores = []
-    for k, (v, w) in enumerate(weights):
+    for k, (v, w) in enumerate(grid.bit_weights()):
         t = coeffs[v] * w
-        if k == 0:
-            c = np.empty((1, 2, 2))
-            for i in (0, 1):
-                ang = phase + t * i
-                c[0, i] = [np.cos(ang), np.sin(ang)]
-        elif k == d - 1:
-            c = np.empty((2, 2, 1))
-            for i in (0, 1):
-                c[:, i, 0] = [np.cos(t * i), -np.sin(t * i)]
-        else:
-            c = np.empty((2, 2, 2))
-            for i in (0, 1):
-                c[:, i, :] = _rot(t * i)
+        c = np.empty((2, 2, 2))
+        for i in (0, 1):
+            # Not 0.0 + t * i for k > 0, which would turn sin(-0.0) into +0.0.
+            c[:, i, :] = _rot(phase + t * i if k == 0 else t * i)
         cores.append(c)
+    cores[0] = cores[0][:1]
+    cores[-1] = np.ascontiguousarray(cores[-1][:, :, :1])
     return TensorTrain(cores)
 
 
 def hadamard_experiment_factors(bits, omega2=2.0 ** 16, omega3=2.0 ** 14 / np.sqrt(5.0)):
     """Three trains in x, y, z on a shared dyadic grid, for product tests.
 
-    Each factor is a small oscillatory or decaying term plus an O(1) smooth
-    term, so the elementwise product has moderate numerical rank despite
-    assembled ranks multiplying.
+    Each factor is a small oscillatory or decaying term, weighted 0.1, plus
+    the O(1) smooth term exp(c . (x, y, z)), so the elementwise product has
+    moderate numerical rank despite assembled ranks multiplying.
     """
     grid = DyadicGrid(bits, n_vars=3)
-    tenth = 0.1
-    f1 = tt_linear_combination(
-        [
-            qtt_exp_linear(grid, 0.0, [-2.0, -2.0, -2.0]),
-            qtt_exp_linear(grid, 0.0, [1.0, 0.0, 0.0]),
-        ],
-        [tenth, 1.0],
-    )
-    f2 = tt_linear_combination(
-        [
-            qtt_cos_linear(grid, 0.0, [omega2, omega2, -2.0 * omega2]),
-            qtt_exp_linear(grid, 0.0, [-1.0, 0.0, 0.0]),
-        ],
-        [tenth, 1.0],
-    )
-    f3 = tt_linear_combination(
-        [
-            qtt_cos_linear(grid, 0.0, [omega3, omega3, -2.0 * omega3]),
-            qtt_exp_linear(grid, 0.0, [0.0, 0.0, 0.0]),
-        ],
-        [tenth, 1.0],
-    )
-    return grid, [f1, f2, f3]
+    table = [  # (small term, c of the smooth term)
+        (qtt_exp_linear(grid, 0.0, [-2.0, -2.0, -2.0]), [1.0, 0.0, 0.0]),
+        (qtt_cos_linear(grid, 0.0, [omega2, omega2, -2.0 * omega2]), [-1.0, 0.0, 0.0]),
+        (qtt_cos_linear(grid, 0.0, [omega3, omega3, -2.0 * omega3]), [0.0, 0.0, 0.0]),
+    ]
+    return grid, [tt_linear_combination([small, qtt_exp_linear(grid, 0.0, c)], [0.1, 1.0])
+                  for small, c in table]

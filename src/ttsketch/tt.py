@@ -185,7 +185,8 @@ def _sweep_terms(x, bond):
     orthonormal basis q of the range kept at that bond and the projection
     q* m, which is carried into each term's next core, so no block-diagonal
     or operator-product core is built.  The coefficients are folded into
-    the last core.  The result is left-orthogonal.
+    the last core.  The result is left-orthogonal; a bond that returns q as
+    None leaves its core out, and a sweep of such bonds keeps only the last.
     """
     terms, coefficients = _terms(x)
     ops = [list(zip(t[0].cores, t[1].cores)) if isinstance(t, tuple) else t.cores
@@ -199,7 +200,8 @@ def _sweep_terms(x, bond):
         cols = [piece.reshape(r1 * n, -1) for piece in pieces]
         m = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
         q, proj = bond(k, m)
-        out.append(q.reshape(r1, n, q.shape[1]))
+        if q is not None:
+            out.append(q.reshape(r1, n, q.shape[1]))
         offsets = [0, *itertools.accumulate(c.shape[1] for c in cols)]
         pieces = [_left_step(proj[:, a:b], op[k + 1])
                   for a, b, op in zip(offsets, offsets[1:], ops)]
@@ -298,13 +300,14 @@ def tt_norm(x):
 def tt_residual_norm(x, y):
     """||x - y||, from the last core of the left-orthogonalized difference.
 
-    The difference is swept from its two terms, never assembled.  Accurate
-    down to round-off relative to the norms of x and y, where ``tt_norm`` of
-    the difference, the square root of an inner product, loses half the
-    digits and can read exactly 0.
+    The difference is swept from its two terms, never assembled, and each
+    bond forms only the R factor of its QR, never the Q.  Accurate down to
+    round-off relative to the norms of x and y, where ``tt_norm`` of the
+    difference, the square root of an inner product, loses half the digits
+    and can read exactly 0.
     """
-    diff = tt_orthogonalize(TTSum([x, y], [1.0, -1.0]), "left")
-    return float(np.linalg.norm(diff.cores[-1]))
+    last = _sweep_terms(TTSum([x, y], [1.0, -1.0]), lambda k, m: (None, np.linalg.qr(m, mode="r")))
+    return float(np.linalg.norm(last.cores[-1]))
 
 
 def tt_scale(x, alpha):

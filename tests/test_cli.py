@@ -77,6 +77,27 @@ def test_embed_quality_command(tmp_path):
     assert len(rows) == 1 + 3
 
 
+def test_embed_quality_keeps_bases_apart(tmp_path):
+    # Entries that differ only in the Khatri-Rao base get their own label.
+    out = str(tmp_path)
+    bases = ["gaussian", "rademacher", "spherical"]
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "d": 6, "n": 3, "r": 4, "trials": 3,
+        "variants": [{"variant": "khatri_rao", "P": 5, "base": b} for b in bases],
+    })
+    assert main(["embed_quality", "--config", cfg, "--out", out]) == 0
+    s = read_summary(out)
+    keys = ["khatri_rao_P5_R1", "khatri_rao[rademacher]_P5_R1", "khatri_rao[spherical]_P5_R1"]
+    assert sorted(s) == sorted(keys)
+    for key in keys:
+        assert s[key]["sigma_min_sq"]["n"] == s[key]["sigma_max_sq"]["n"] == 3
+    rows = read_csv_rows(os.path.join(out, "embed_quality.csv"))
+    labels = [row[3] for row in rows[1:]]
+    assert sorted(set(labels)) == sorted(["khatri_rao", "khatri_rao[rademacher]",
+                                          "khatri_rao[spherical]"])
+    assert all(labels.count(label) == 3 for label in set(labels))
+
+
 def test_round_synthetic_command(tmp_path):
     out = str(tmp_path)
     cfg = write_cfg(tmp_path / "cfg.json", {

@@ -11,7 +11,7 @@ from ttsketch.qtt import (
     qtt_cos_linear,
     qtt_exp_linear,
 )
-from ttsketch.tt import tt_dense
+from ttsketch.tt import tt_dense, tt_linear_combination
 
 
 def test_grid_layout():
@@ -140,3 +140,66 @@ def test_hadamard_product_entry():
               * (0.1 * np.cos(5.0 * (x + y - 2 * z)) + np.exp(-x))
               * (0.1 * np.cos(2.0 * (x + y - 2 * z)) + 1.0))
     assert_allclose(np.prod(vals), expect, rtol=1e-12)
+
+
+QTT_GRIDS = [DyadicGrid(1), DyadicGrid(5), DyadicGrid([1, 1]), DyadicGrid([1, 3]),
+             DyadicGrid(1, n_vars=3), DyadicGrid([2, 1, 4])]
+
+
+def _qtt_coeff_sets(n_vars):
+    yield [0.0] * n_vars
+    yield [-3.7] * n_vars
+    yield [(-1) ** v * (2.5 + v) for v in range(n_vars)]
+    yield [0.0 if v % 2 else -7.0 for v in range(n_vars)]
+
+
+def _rot(a):
+    return np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
+
+
+@pytest.mark.parametrize("phase", [0.0, -0.0, 0.7, -1.3])
+@pytest.mark.parametrize("grid", QTT_GRIDS, ids=lambda g: str(g.bits))
+def test_cos_linear_cores_are_the_rotation_formulas(grid, phase):
+    # Exact: the expected cores are numpy's own cos and sin of each angle.
+    for coeffs in _qtt_coeff_sets(grid.n_vars):
+        cores = qtt_cos_linear(grid, phase, coeffs).cores
+        ts = [coeffs[v] * w for v, w in grid.bit_weights()]
+        if grid.d == 1:
+            expect = [np.array([np.cos(phase), np.cos(phase + ts[0])]).reshape(1, 2, 1)]
+        else:
+            first = np.array([[np.cos(phase + ts[0] * i), np.sin(phase + ts[0] * i)]
+                              for i in (0, 1)]).reshape(1, 2, 2)
+            middle = [np.stack([_rot(t * i) for i in (0, 1)], axis=1) for t in ts[1:-1]]
+            last = np.array([[np.cos(ts[-1] * i), -np.sin(ts[-1] * i)]
+                             for i in (0, 1)]).T.reshape(2, 2, 1)
+            expect = [first, *middle, last]
+        assert len(cores) == len(expect)
+        for c, e in zip(cores, expect):
+            assert c.shape == e.shape and np.array_equal(c, e)
+            assert np.array_equal(np.signbit(c), np.signbit(e))
+
+
+def test_cos_linear_rejects_complex_arguments():
+    g = DyadicGrid(2, n_vars=2)
+    for phase, coeffs in ((0.5j, [1.0, 2.0]), (0.0, np.array([1.0 + 1j, 2.0])),
+                          (0.0, [1.0 + 1j, 2.0]), (np.complex128(0.5), [1.0, 2.0])):
+        with pytest.raises(ValueError, match="real"):
+            qtt_cos_linear(g, phase, coeffs)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 20])
+def test_hadamard_factors_are_the_three_combinations(bits):
+    grid, fs = hadamard_experiment_factors(bits)
+    w2, w3 = 2.0 ** 16, 2.0 ** 14 / np.sqrt(5.0)
+    expect = [
+        tt_linear_combination([qtt_exp_linear(grid, 0.0, [-2.0, -2.0, -2.0]),
+                               qtt_exp_linear(grid, 0.0, [1.0, 0.0, 0.0])], [0.1, 1.0]),
+        tt_linear_combination([qtt_cos_linear(grid, 0.0, [w2, w2, -2.0 * w2]),
+                               qtt_exp_linear(grid, 0.0, [-1.0, 0.0, 0.0])], [0.1, 1.0]),
+        tt_linear_combination([qtt_cos_linear(grid, 0.0, [w3, w3, -2.0 * w3]),
+                               qtt_exp_linear(grid, 0.0, [0.0, 0.0, 0.0])], [0.1, 1.0]),
+    ]
+    assert grid.bits == (bits,) * 3
+    for f, e in zip(fs, expect):
+        assert len(f.cores) == len(e.cores)
+        assert all(np.array_equal(a, b) for a, b in zip(f.cores, e.cores))

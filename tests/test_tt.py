@@ -172,6 +172,18 @@ def test_residual_norm_matches_dense(rng, field, dist):
         assert abs(tt_residual_norm(a, b) - expect) < 10 * np.finfo(float).eps * xn
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_residual_norm_is_the_orthogonalized_difference_exactly(rng, field, d):
+    # Forming only the R factors gives the very bytes of the full QR sweep.
+    dims = (2, 3, 2, 3, 2)[:d]
+    x = random_tt(rng, dims, tt_feasible_ranks(dims, 3), field)
+    for y in (random_tt(rng, dims, tt_feasible_ranks(dims, 2), field),
+              random_tt(rng, dims, tt_feasible_ranks(dims, 4), "complex")):
+        diff = tt_orthogonalize(TTSum([x, y], [1.0, -1.0]), "left")
+        assert tt_residual_norm(x, y) == np.linalg.norm(diff.cores[-1])
+
+
 def test_inner_conjugate_linear_first_argument(rng):
     x = random_tt(rng, (2, 2), (1, 2, 1), "complex")
     y = random_tt(rng, (2, 2), (1, 2, 1), "complex")
