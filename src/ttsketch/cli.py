@@ -135,13 +135,17 @@ def _variant_spec(entry, cfg, seed):
         raise ValueError("config 'variants' entry %r: %s" % (entry, e)) from None
 
 
+def _variant_label(spec):
+    return spec.variant if spec.base == "gaussian" else "%s[%s]" % (spec.variant, spec.base)
+
+
 def _config(name, cfg):
     """The full config of experiment ``name``, defaults filled in.
 
     ValueError names an unknown key, a value of the wrong type or outside
-    its ``BOUNDS``, a bad ``variants`` entry, or a kron basis with more
-    vectors r than index tuples n**d.  A full config passes through
-    unchanged.
+    its ``BOUNDS``, a bad ``variants`` entry, two ``variants`` entries with
+    one summary key (label, P, R), or a kron basis with more vectors r than
+    index tuples n**d.  A full config passes through unchanged.
     """
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
@@ -162,8 +166,14 @@ def _config(name, cfg):
             r = out["r"]
             out["variants"] = [{"variant": "tts", "P": 2 * r, "R": 1},
                                {"variant": "tts", "P": 2, "R": r}]
+        seen = {}
         for entry in out["variants"]:
-            _variant_spec(entry, out, 0)
+            spec = _variant_spec(entry, out, 0)
+            key = (_variant_label(spec), spec.P, spec.R)
+            if key in seen:
+                raise ValueError("config 'variants' entries %r and %r both give summary key "
+                                 "'%s_P%d_R%d'" % ((seen[key], entry) + key))
+            seen[key] = entry
         if out["basis"] == "kron" and out["r"] > out["n"] ** out["d"]:
             raise ValueError("config 'r' = %d exceeds the n**d = %d index tuples of the kron basis"
                              % (out["r"], out["n"] ** out["d"]))
@@ -209,7 +219,7 @@ def run_embed_quality(cfg, seed, out):
         basis = _kron_basis(d, n, r, seed)
     else:
         basis = _tt_basis(d, n, r, cfg["basis_rank"], seed)
-    labels = [s.variant if s.base == "gaussian" else "%s[%s]" % (s.variant, s.base) for s in specs]
+    labels = [_variant_label(s) for s in specs]
     draws = [(label, spec, t) for label, spec in zip(labels, specs) for t in range(trials)]
     sketches = (make_sketch(replace(spec, seed=seed * 1000003 + 7919 * t)) for _, spec, t in draws)
     rows = [[d, n, r, label, spec.P, spec.R, t, lo, hi]

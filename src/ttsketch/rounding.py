@@ -155,17 +155,6 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     return _sweep_terms(x, bond)
 
 
-def left_gaussian_chain(dims, bonds, field, seed, stream=STREAM_STTA_LEFT):
-    """Left-to-right Gaussian chain: core k is (l_{k-1}, n_k, l_k), l_0 = 1.
-
-    Entry variance is one over the left bond, mirroring the right-oriented
-    Gaussian chains.
-    """
-    return [gaussian(rng_for(seed, stream, 0, k), (bonds[k], dims[k], bonds[k + 1]), field,
-                     scale=np.sqrt(1.0 / bonds[k]))
-            for k in range(len(dims))]
-
-
 class STTASketchPair:
     """Shared left/right sketches for streaming truncation."""
 
@@ -175,7 +164,12 @@ class STTASketchPair:
         self.ranks = _rank_list(ranks, d)
         over = self.ranks if oversample is None else _rank_list(oversample, d)
         self.left_bonds = [1] + self.ranks[1:d] + [1]
-        self.left_cores = left_gaussian_chain(self.dims, self.left_bonds, field, seed)
+        # tt_random's streams for STREAM_STTA_LEFT, with entry variance one over
+        # the left bond; scaling inside gaussian keeps the complex draws' bytes.
+        self.left_cores = [gaussian(rng_for(seed, STREAM_STTA_LEFT, 0, k), (a, n, b), field,
+                                    scale=np.sqrt(1.0 / a))
+                           for k, (n, a, b) in enumerate(zip(self.dims, self.left_bonds,
+                                                             self.left_bonds[1:]))]
         self.right = _chain_sketch(self.dims, [r + o for r, o in zip(self.ranks, over)],
                                    field, seed)
 

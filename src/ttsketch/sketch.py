@@ -26,6 +26,7 @@ f_tt_r's two boundary cores, whose variance is 1/sqrt(R).
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -156,22 +157,41 @@ def _block_cores(spec, P):
     return cores
 
 
+class _BlockViews(Sequence):
+    """Read-only blocks of stacked cores: item j is ``[c[j] for c in cores]``.
+
+    A block's views are made when it is read, so a sketch holds no per-block
+    arrays of its own.
+    """
+
+    def __init__(self, cores):
+        self._cores = cores
+
+    def __len__(self):
+        return len(self._cores[0])
+
+    def __getitem__(self, j):
+        if not -len(self) <= j < len(self):
+            raise IndexError("block index %r out of range" % (j,))
+        return [c[j] for c in self._cores]
+
+
 @dataclass
 class RealizedSketch:
     """The realized cores of a sketch, stacked over its blocks.
 
     ``cores[k]`` has shape (P, l_k, n_k, l_{k+1}): every variant draws
-    blocks of one common shape.  ``blocks[j][k]`` is derived from them, a
-    view of ``cores[k][j]``, so both layouts share one copy of the draws.
+    blocks of one common shape.  ``blocks[j][k]`` is a view of
+    ``cores[k][j]``, made when block j is read.
     """
 
     spec: SketchSpec
     cores: list = dc_field(repr=False)
     scale: float = 1.0
-    blocks: list = dc_field(init=False, repr=False)
+    blocks: Sequence = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.blocks = [[c[j] for c in self.cores] for j in range(len(self.cores[0]))]
+        self.blocks = _BlockViews(self.cores)
 
     @property
     def rows(self):

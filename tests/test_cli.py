@@ -210,9 +210,14 @@ BAD_CONFIGS = [
     ("verify_moments", {"fields": ["real", "quaternion"]}, "config 'fields'"),
     ("gamma_table", {"d": 17}, "config 'd'"),
     ("eigensolve", {"d": 1}, "config 'd'"),
+    # Two entries with one summary key would pool their pairwise-equal rows.
+    ("embed_quality", {"d": 6, "n": 2, "r": 3, "trials": 2,
+                       "variants": [{"variant": "khatri_rao", "P": 5},
+                                    {"variant": "khatri_rao", "P": 5, "base": "gaussian"}]},
+     "'base': 'gaussian'} both give summary key 'khatri_rao_P5_R1'"),
 ]
 BAD_IDS = ["unknown-key", "float-int", "model", "null-P", "variant-key", "bool-int", "fields",
-           "gamma-d-cap", "eigensolve-one-site"]
+           "gamma-d-cap", "eigensolve-one-site", "repeated-variant"]
 
 
 @pytest.mark.parametrize("name,cfg,named", BAD_CONFIGS, ids=BAD_IDS)

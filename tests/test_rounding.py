@@ -13,7 +13,6 @@ from ttsketch.qtt import hadamard_experiment_factors
 from ttsketch.rounding import (
     STTASketchPair,
     _svd,
-    left_gaussian_chain,
     pinv_trunc,
     stta,
     stta_assemble,
@@ -400,7 +399,7 @@ def test_left_sweep_invariant():
     # train; with an (operator, train) pair, of chain and the product h x
     dims = (2, 3, 2, 2)
     x = tt_random(dims, (1, 2, 3, 2, 1), seed=61)
-    chain = left_gaussian_chain(dims, [1, 2, 3, 2, 1], "real", seed=4)
+    chain = STTASketchPair(dims, [1, 2, 3, 2, 1], seed=4).left_cores
     rng = np.random.default_rng(62)
     h = TTOperator([rng.standard_normal((a, n, n, b))
                     for a, n, b in zip((1, 2, 2, 3), dims, (2, 2, 3, 1))])

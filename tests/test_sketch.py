@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -179,6 +180,30 @@ def test_stacked_blocks_keep_the_pinned_draws(variant, kw, digest):
             assert np.array_equal(c, sk.cores[k][j])
             h.update(np.ascontiguousarray(c).tobytes())
     assert h.hexdigest()[:16] == digest
+
+
+def test_block_views_are_made_when_read():
+    # A view holds a reference to its base, so the references to a stacked
+    # core beyond those to an array held only by a list count its views.
+    sk = make_sketch(SketchSpec("tts", (2, 3, 2, 2), P=5, R=2, seed=7))
+    held = [np.empty(0)]
+
+    def views():
+        return [sys.getrefcount(sk.cores[k]) - sys.getrefcount(held[0]) for k in range(4)]
+
+    assert views() == [0] * 4
+    block = sk.blocks[2]
+    assert views() == [1] * 4
+    for k, c in enumerate(block):
+        assert c.base is sk.cores[k] and np.array_equal(c, sk.cores[k][2])
+    del block, c
+    assert views() == [0] * 4
+    assert len(sk.blocks) == 5
+    assert [b[0].shape for b in sk.blocks] == [(2, 2, 2)] * 5
+    assert np.array_equal(sk.blocks[-1][3], sk.cores[3][4])
+    for j in (5, -6):
+        with pytest.raises(IndexError):
+            sk.blocks[j]
 
 
 def reference_cores(spec):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from oracles import (
     is_orthogonal, oracle_dense, oracle_entry, oracle_vector, rel_err, tt_evaluate,
 )
-from ttsketch.rounding import left_gaussian_chain
+from ttsketch.rounding import STTASketchPair
 from ttsketch.sketch import SketchSpec, make_sketch
 from ttsketch.tt import (
     STREAM_EXPERIMENT,
@@ -329,14 +329,16 @@ def test_negative_seed_rejected():
 
 
 def test_random_trains_keep_their_draws():
-    # tt_random and left_gaussian_chain draw core k from rng_for(seed,
-    # stream, 0, k); the digest pins those streams for seeds below 2**32.
+    # tt_random and the left sketch of STTASketchPair draw core k from
+    # rng_for(seed, stream, 0, k); the digest pins those streams for seeds
+    # below 2**32.
     h = hashlib.sha256()
     for seed in (0, 7, 12345, 2 ** 32 - 1):
         for field in ("real", "complex"):
             for c in tt_random((2, 3, 4, 2), (1, 2, 3, 2, 1), field=field, seed=seed).cores:
                 h.update(c.tobytes())
-            for c in left_gaussian_chain((2, 3, 4, 2), (1, 2, 3, 2, 1), field, seed):
+            for c in STTASketchPair((2, 3, 4, 2), (1, 2, 3, 2, 1), field=field,
+                                    seed=seed).left_cores:
                 h.update(c.tobytes())
     assert h.hexdigest()[:16] == "2bc0b795dbbb1d5c"
 
@@ -354,10 +356,14 @@ def batched_draws(seed, stream, dims, P):
     pairs = []
     for k, c in enumerate(tt_random(dims, ranks, seed=seed, stream=stream).cores):
         pairs.append((c, gaussian(rng_for(seed, stream, 0, k), c.shape, "real")))
-    for k, c in enumerate(left_gaussian_chain(dims, ranks, "complex", seed, stream)):
-        ref = gaussian(rng_for(seed, stream, 0, k), c.shape, "complex",
-                       scale=np.sqrt(1.0 / ranks[k]))
-        pairs.append((c, ref))
+    for k, c in enumerate(tt_random(dims, ranks, "complex", seed, stream).cores):
+        pairs.append((c, gaussian(rng_for(seed, stream, 0, k), c.shape, "complex")))
+    if stream == STREAM_STTA_LEFT:
+        left = STTASketchPair(dims, ranks, field="complex", seed=seed).left_cores
+        for k, c in enumerate(left):
+            ref = gaussian(rng_for(seed, stream, 0, k), c.shape, "complex",
+                           scale=np.sqrt(1.0 / ranks[k]))
+            pairs.append((c, ref))
     if stream == STREAM_SKETCH:
         sk = make_sketch(SketchSpec("khatri_rao", tuple(dims), P=P, seed=seed))
         for k, c in enumerate(sk.cores):
