@@ -107,12 +107,9 @@ def tt_round(x, max_ranks=None, tol=None):
 
 
 def _chain_sketch(dims, bonds, field, seed):
-    """P = 1 Gaussian chain with inner bonds ``bonds[1:d]``, whose row count
-    repeats the first of them."""
-    pat = [max(b, 1) for b in bonds[1:len(dims)]] + [1]
-    pat = pat[:1] + pat
-    return make_sketch(SketchSpec("gaussian_tt", tuple(dims), R=max(pat), field=field,
-                                  seed=seed, ranks=tuple(pat)))
+    """``gaussian_tt`` at R = the largest inner bond ``bonds[1:d]``, at least 1."""
+    return make_sketch(SketchSpec("gaussian_tt", tuple(dims), R=max([1, *bonds[1:len(dims)]]),
+                                  field=field, seed=seed))
 
 
 def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
@@ -123,7 +120,8 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     at a bond is the concatenation of their columns, so no block-diagonal
     or operator-product core is built.  A train is the sum of one term.
 
-    One sketch of the tail chains is shared across all modes.  Each bond is
+    One sketch of the tail chains is shared across all modes; by default it
+    is ``gaussian_tt`` at R = the largest inner cap.  Each bond is
     capped at the target, at the size of the left unfolding, at the tail
     size and at the input's own bond, so the output ranks are feasible; a
     bond that fits is orthogonalized exactly, by a QR of its unfolding,
@@ -213,7 +211,8 @@ def stta(x, ranks, oversample=None, seed=0):
     """Two-sided streaming rounding to the given target ranks.
 
     ``ranks`` and ``oversample`` (default ``ranks``) are each a scalar or a
-    list of d + 1 entries; the right sketch's bonds are their sum.
+    list of d + 1 entries; the right sketch is ``gaussian_tt`` at R = the
+    largest inner bond of their sum.
     """
     sketches = STTASketchPair(x.dims, ranks, oversample=oversample, field=x.field, seed=seed)
     return stta_assemble(stta_streams(x, sketches))

@@ -17,12 +17,9 @@ khatri_rao
     ``tts`` at R = 1; the base may also be rademacher, or spherical rows of
     norm sqrt(n_k).
 gaussian_tt
-    ``tts`` at P = 1; an explicit left-bond list ``ranks`` is allowed.
-f_tt_r
-    One row per block; a benchmarking baseline only.
+    ``tts`` at P = 1.
 
-Gaussian core entries have variance one over the core's left bond, except
-f_tt_r's two boundary cores, whose variance is 1/sqrt(R).
+Gaussian core entries have variance one over the core's left bond.
 """
 
 import math
@@ -33,12 +30,19 @@ import numpy as np
 
 from .tt import STREAM_SKETCH, gaussian, rng_for
 
-VARIANTS = ("tts", "otts", "khatri_rao", "gaussian_tt", "f_tt_r")
+VARIANTS = ("tts", "otts", "khatri_rao", "gaussian_tt")
 KR_BASES = ("gaussian", "rademacher", "spherical")
 
-# JSON type of each SketchSpec field; the lists hold integers.
+# JSON type of each SketchSpec field; SketchSpec checks the integers itself.
 _JSON_TYPES = {"variant": str, "dims": list, "P": int, "R": int, "field": str,
-               "seed": int, "base": str, "ranks": list}
+               "seed": int, "base": str}
+
+
+def _integer(key, v):
+    """``v`` as an int; a ValueError names ``key`` unless v is a (numpy) integer."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError("sketch spec %r has a non-integer value %r" % (key, v))
+    return int(v)
 
 
 @dataclass
@@ -50,12 +54,12 @@ class SketchSpec:
     field: str = "real"
     seed: int = 0
     base: str = "gaussian"
-    ranks: tuple = None  # optional per-mode left-bond list for gaussian_tt
 
     def __post_init__(self):
-        self.dims = tuple(int(n) for n in self.dims)
-        if self.ranks is not None:
-            self.ranks = tuple(int(r) for r in self.ranks)
+        if not np.iterable(self.dims):
+            raise ValueError("sketch spec 'dims' is not a list: %r" % (self.dims,))
+        self.dims = tuple(_integer("dims", n) for n in self.dims)
+        self.P, self.R, self.seed = (_integer(k, getattr(self, k)) for k in ("P", "R", "seed"))
         self.validate()
 
     def validate(self):
@@ -78,40 +82,30 @@ class SketchSpec:
             raise ValueError("base %r is only for khatri_rao" % (self.base,))
         if self.variant == "gaussian_tt" and self.P != 1:
             raise ValueError("gaussian_tt requires P = 1")
-        if self.ranks is not None:
-            if self.variant != "gaussian_tt":
-                raise ValueError("explicit rank lists are only for gaussian_tt")
-            if len(self.ranks) != len(self.dims) + 1 or self.ranks[-1] != 1:
-                raise ValueError("rank list must have d+1 entries ending in 1")
 
     def bond_pattern(self):
         """Left-bond list l[0..d] of each block's core chain."""
         d = len(self.dims)
-        if self.ranks is not None:
-            return list(self.ranks)
         if self.variant == "otts":
             # Joint chain over all P blocks; see make_sketch for why.
             return [min(self.P * self.R, math.prod(self.dims[k:])) for k in range(d)] + [1]
-        if self.variant == "f_tt_r":
-            return [1] + [self.R] * (d - 1) + [1]
         return [self.R] * d + [1]  # tts; khatri_rao at R = 1, gaussian_tt at P = 1
 
     @classmethod
     def from_json_obj(cls, obj):
-        """Spec from a parsed JSON object; ValueError names a missing or bad key."""
+        """Spec from a parsed JSON object; ValueError names a missing, unknown
+        or bad key."""
         if not isinstance(obj, dict):
             raise ValueError("sketch spec must be a JSON object")
         for key in ("variant", "dims"):
             if key not in obj:
                 raise ValueError("sketch spec has no %r" % key)
-        kwargs = {k: obj[k] for k in _JSON_TYPES if k in obj}
-        for key, v in kwargs.items():
-            kind = int if _JSON_TYPES[key] is list else _JSON_TYPES[key]
-            items = v if isinstance(v, list) else [v]
-            if not isinstance(v, _JSON_TYPES[key]) or any(
-                    isinstance(u, bool) or not isinstance(u, kind) for u in items):
+        for key, v in obj.items():
+            if key not in _JSON_TYPES:
+                raise ValueError("sketch spec has an unknown key %r" % (key,))
+            if not isinstance(v, _JSON_TYPES[key]):
                 raise ValueError("sketch spec %r has a bad value: %r" % (key, v))
-        return cls(**kwargs)
+        return cls(**obj)
 
 
 def stiefel_sample(rng, rows, cols, field):
@@ -132,7 +126,6 @@ def _block_cores(spec, P):
     Core k of all P blocks is one draw from stream k, in block order: the
     blocks stay iid, and a sketch is seeded once per core, not per block.
     """
-    d = len(spec.dims)
     pat = spec.bond_pattern()
     cores = []
     for k, n in enumerate(spec.dims):
@@ -149,11 +142,7 @@ def _block_cores(spec, P):
             norms = np.linalg.norm(g.reshape(P, -1), axis=1)
             cores.append(g * (np.sqrt(n) / norms)[:, None, None, None])
         else:
-            if spec.variant == "f_tt_r" and k in (0, d - 1):
-                var = 1.0 / np.sqrt(spec.R)
-            else:
-                var = 1.0 / pat[k]
-            cores.append(gaussian(rng, shape, spec.field, np.sqrt(var)))
+            cores.append(gaussian(rng, shape, spec.field, np.sqrt(1.0 / pat[k])))
     return cores
 
 

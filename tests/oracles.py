@@ -95,8 +95,6 @@ def spec_to_json_obj(spec):
            "field": spec.field, "seed": spec.seed}
     if spec.variant == "khatri_rao":
         obj["base"] = spec.base
-    if spec.ranks is not None:
-        obj["ranks"] = list(spec.ranks)
     return obj
 
 

@@ -206,6 +206,8 @@ BAD_CONFIGS = [
     ("eigensolve", {"model": "bogus"}, "config 'model'"),
     ("embed_quality", {"variants": [{"variant": "tts", "P": None, "R": 1}]}, "spec 'P'"),
     ("embed_quality", {"variants": [{"variant": "tts", "P": 2, "seed": 1}]}, "'seed': 1}"),
+    ("embed_quality", {"variants": [{"variant": "f_tt_r", "P": 3}]},
+     "entry {'variant': 'f_tt_r', 'P': 3}: unknown variant 'f_tt_r'"),
     ("gamma_table", {"d": True}, "config 'd'"),
     ("verify_moments", {"fields": ["real", "quaternion"]}, "config 'fields'"),
     ("gamma_table", {"d": 17}, "config 'd'"),
@@ -216,8 +218,8 @@ BAD_CONFIGS = [
                                     {"variant": "khatri_rao", "P": 5, "base": "gaussian"}]},
      "'base': 'gaussian'} both give summary key 'khatri_rao_P5_R1'"),
 ]
-BAD_IDS = ["unknown-key", "float-int", "model", "null-P", "variant-key", "bool-int", "fields",
-           "gamma-d-cap", "eigensolve-one-site", "repeated-variant"]
+BAD_IDS = ["unknown-key", "float-int", "model", "null-P", "variant-key", "retired-variant",
+           "bool-int", "fields", "gamma-d-cap", "eigensolve-one-site", "repeated-variant"]
 
 
 @pytest.mark.parametrize("name,cfg,named", BAD_CONFIGS, ids=BAD_IDS)

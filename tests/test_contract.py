@@ -30,8 +30,7 @@ SKETCHES = [
     pytest.param("tts", dict(P=3, R=2), id="tts"),
     pytest.param("otts", dict(P=2, R=3), id="otts"),
     pytest.param("khatri_rao", dict(P=5, R=1), id="khatri_rao"),
-    pytest.param("gaussian_tt", dict(P=1, R=4, ranks=(4, 3, 2, 2, 1)), id="gaussian_tt"),
-    pytest.param("f_tt_r", dict(P=3, R=2), id="f_tt_r"),
+    pytest.param("gaussian_tt", dict(P=1, R=4), id="gaussian_tt"),
 ]
 
 

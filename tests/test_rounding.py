@@ -175,16 +175,16 @@ def test_rand_round_ranks_within_tail_size(dims):
     ((3,), 2, [1, 1]),
     ((2, 3), 2, [2, 2, 1]),
     ((2, 3, 2, 2), 3, [3, 3, 3, 3, 1]),
-    ((2, 3, 2, 2), [1, 2, 3, 2, 1], [2, 2, 3, 2, 1]),
-    ((2, 3, 2, 3, 2), [1, 2, 4, 4, 2, 1], [2, 2, 4, 4, 2, 1]),
+    ((2, 3, 2, 2), [1, 2, 3, 2, 1], [3, 3, 3, 3, 1]),
+    ((2, 3, 2, 3, 2), [1, 2, 4, 4, 2, 1], [4, 4, 4, 4, 4, 1]),
 ])
 def test_rand_round_default_sketch_is_a_gaussian_chain(field, dims, caps, pattern):
-    # The default sketch is a P = 1 Gaussian chain whose inner bonds are
-    # the caps and whose row count repeats the first of them.
+    # The default sketch is gaussian_tt at R = the largest inner cap, at
+    # least 1.
     d = len(dims)
     x = tt_random(dims, (1,) + (4,) * (d - 1) + (1,), field=field, seed=23)
-    sk = make_sketch(SketchSpec("gaussian_tt", dims, R=max(pattern), field=field, seed=9,
-                                ranks=pattern))
+    sk = make_sketch(SketchSpec("gaussian_tt", dims, R=pattern[0], field=field, seed=9))
+    assert sk.spec.bond_pattern() == pattern
     a, b = tt_rand_round(x, caps, seed=9), tt_rand_round(x, caps, sk=sk)
     for ca, cb in zip(a.cores, b.cores):
         np.testing.assert_array_equal(ca, cb)
@@ -423,13 +423,13 @@ def test_stta_oversampling_lists():
 
 @pytest.mark.parametrize("dims, ranks, oversample, pattern", [
     ((3,), 2, None, [1, 1]),
-    (DIMS, list(RANKS), None, [4, 4, 6, 6, 4, 1]),
-    (DIMS, list(RANKS), 1, [3, 3, 4, 4, 3, 1]),
-    ((2, 3, 2, 2), [1, 2, 3, 2, 1], [0, 2, 1, 0, 5], [4, 4, 4, 2, 1]),
+    (DIMS, list(RANKS), None, [6] * 5 + [1]),
+    (DIMS, list(RANKS), 1, [4] * 5 + [1]),
+    ((2, 3, 2, 2), [1, 2, 3, 2, 1], [0, 2, 1, 0, 5], [4] * 4 + [1]),
 ])
 def test_stta_right_sketch_bonds(dims, ranks, oversample, pattern):
-    # The right sketch's inner bonds are ranks plus oversample, and its row
-    # count repeats the first of them.
+    # The right sketch is gaussian_tt at R = the largest inner bond of ranks
+    # plus oversample.
     pair = STTASketchPair(dims, ranks, oversample=oversample, seed=2)
     assert pair.right.spec.bond_pattern() == pattern
 

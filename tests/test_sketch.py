@@ -28,8 +28,6 @@ def test_spec_validation():
         SketchSpec("gaussian_tt", (2, 2), P=2, R=2)
     with pytest.raises(ValueError, match="base"):
         SketchSpec("khatri_rao", (2, 2), P=2, base="cauchy")
-    with pytest.raises(ValueError, match="rank list"):
-        SketchSpec("gaussian_tt", (2, 2), ranks=(2, 2, 2))
     with pytest.raises(ValueError, match="field"):
         SketchSpec("tts", (2, 2), field="quaternion")
     with pytest.raises(ValueError, match="seed"):
@@ -41,9 +39,8 @@ def test_spec_validation():
 def test_bond_patterns():
     assert SketchSpec("tts", (2, 3, 2), P=2, R=4).bond_pattern() == [4, 4, 4, 1]
     assert SketchSpec("khatri_rao", (2, 3), P=3).bond_pattern() == [1, 1, 1]
-    assert SketchSpec("f_tt_r", (2, 3, 2), P=2, R=4).bond_pattern() == [1, 4, 4, 1]
-    assert SketchSpec("gaussian_tt", (2, 3, 2), R=3,
-                      ranks=(3, 2, 2, 1)).bond_pattern() == [3, 2, 2, 1]
+    assert SketchSpec("gaussian_tt", (2, 3, 2), R=3).bond_pattern() == [3, 3, 3, 1]
+    assert SketchSpec("otts", (2, 3, 2), P=2, R=4).bond_pattern() == [8, 6, 2, 1]
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -76,8 +73,26 @@ def test_json_roundtrip():
                       base="spherical")
     again = SketchSpec.from_json_obj(json.loads(json.dumps(spec_to_json_obj(spec))))
     assert again == spec
-    spec2 = SketchSpec("gaussian_tt", (2, 2), R=2, ranks=(2, 2, 1))
+    spec2 = SketchSpec("gaussian_tt", (2, 2), R=2, seed=2 ** 40)
     assert SketchSpec.from_json_obj(json.loads(json.dumps(spec_to_json_obj(spec2)))) == spec2
+
+
+@pytest.mark.parametrize("kw,key", [
+    (dict(dims=(2, 2.5)), "dims"), (dict(dims=(2, True)), "dims"), (dict(dims=3), "dims"),
+    (dict(seed=1.5), "seed"), (dict(P=2.5), "P"), (dict(P="3"), "P"), (dict(R=True), "R"),
+    (dict(R=np.float64(2)), "R"),
+], ids=["float-dim", "bool-dim", "scalar-dims", "float-seed", "float-P", "str-P", "bool-R",
+        "numpy-float-R"])
+def test_non_integer_values_raise_naming_the_field(kw, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        SketchSpec(**dict(dict(variant="tts", dims=(2, 2)), **kw))
+
+
+def test_numpy_integers_are_read_as_ints():
+    spec = SketchSpec("tts", (np.int64(2), np.int32(3)), P=np.int64(2), R=np.uint8(3),
+                      seed=np.int64(5))
+    assert spec == SketchSpec("tts", (2, 3), P=2, R=3, seed=5)
+    assert all(type(v) is int for v in (*spec.dims, spec.P, spec.R, spec.seed))
 
 
 @pytest.mark.parametrize("obj,key", [
@@ -90,8 +105,9 @@ def test_json_roundtrip():
     ({"variant": "tts", "dims": [2, 2], "seed": True}, "seed"),
     ({"variant": "gaussian_tt", "dims": [2, 2], "ranks": None}, "ranks"),
     ({"variant": 7, "dims": [2, 2]}, "variant"),
+    ({"variant": "tts", "dims": [2, 2], "p": 4}, "p"),
 ], ids=["no-variant", "no-dims", "scalar-dims", "str-dim", "null-P", "float-R",
-        "bool-seed", "null-ranks", "int-variant"])
+        "bool-seed", "null-ranks", "int-variant", "typo-p"])
 def test_json_spec_errors_name_the_key(obj, key):
     with pytest.raises(ValueError, match=repr(key)):
         SketchSpec.from_json_obj(obj)
@@ -111,7 +127,6 @@ plausible = {
     "variant": st.sampled_from(VARIANTS), "dims": st.lists(small, min_size=1, max_size=4),
     "P": small, "R": small, "field": st.sampled_from(["real", "complex", "quaternion"]),
     "seed": st.integers(-1, 2 ** 40), "base": st.sampled_from(KR_BASES + ("cauchy",)),
-    "ranks": st.lists(small, max_size=5),
 }
 
 
@@ -145,7 +160,7 @@ def test_determinism_and_seed_sensitivity():
 def test_blocks_independent_of_generation_order():
     # Core k of every block comes from one stream, in block order, so the
     # real Gaussian blocks do not depend on how many blocks follow them.
-    for variant, kw in (("tts", dict(R=2)), ("f_tt_r", dict(R=3)), ("khatri_rao", {})):
+    for variant, kw in (("tts", dict(R=2)), ("khatri_rao", {})):
         small = make_sketch(SketchSpec(variant, (2, 3, 2), P=3, seed=1, **kw))
         large = make_sketch(SketchSpec(variant, (2, 3, 2), P=5, seed=1, **kw))
         for ca, cb in zip(small.cores, large.cores):
@@ -165,9 +180,8 @@ def test_wide_seeds_are_not_wrapped():
     ("tts", dict(P=3, R=2), "c8221ae24a35b055"),
     ("otts", dict(P=2, R=3), "9a6ecaa64303a74b"),
     ("khatri_rao", dict(P=4, R=1, base="rademacher"), "481028e52de8d5d0"),
-    ("gaussian_tt", dict(P=1, R=4, ranks=(4, 3, 2, 2, 1)), "d108dc7bcb5a8cfe"),
-    ("f_tt_r", dict(P=3, R=2, field="complex"), "a650b2b65c6b905f"),
-], ids=["tts", "otts", "khatri_rao", "gaussian_tt", "f_tt_r"])
+    ("gaussian_tt", dict(P=1, R=4), "90496ee498477748"),
+], ids=["tts", "otts", "khatri_rao", "gaussian_tt"])
 def test_stacked_blocks_keep_the_pinned_draws(variant, kw, digest):
     # The digests pin the one-stream-per-core draws; a different digest
     # means the random stream moved (otts also depends on the LAPACK QR).
@@ -225,12 +239,8 @@ def reference_cores(spec):
             c = gaussian(rng, shape, spec.field)
             if spec.base == "spherical":
                 c = np.stack([b * (np.sqrt(dims[k]) / np.linalg.norm(b)) for b in c])
-        elif spec.variant == "f_tt_r":
-            var = 1.0 / np.sqrt(spec.R) if k in (0, d - 1) else 1.0 / spec.R
-            c = gaussian(rng, shape, spec.field, scale=np.sqrt(var))
         else:
-            var = 1.0 / (spec.R if spec.variant == "tts" else pat[k])
-            c = gaussian(rng, shape, spec.field, scale=np.sqrt(var))
+            c = gaussian(rng, shape, spec.field, scale=np.sqrt(1.0 / spec.R))
         cores.append(c)
     return cores
 
@@ -240,10 +250,8 @@ def reference_cores(spec):
     ("tts", dict(P=5, R=3)), ("otts", dict(P=2, R=3)),
     ("khatri_rao", dict(P=4)), ("khatri_rao", dict(P=3, base="rademacher")),
     ("khatri_rao", dict(P=3, base="spherical")),
-    ("gaussian_tt", dict(R=4, ranks=(4, 3, 2, 2, 1))), ("f_tt_r", dict(P=3, R=2)),
-    ("tts", dict(P=2, R=2, seed=2 ** 32 + 9)),
-], ids=["tts", "otts", "kr", "kr-rademacher", "kr-spherical", "gaussian_tt", "f_tt_r",
-        "tts-wide-seed"])
+    ("gaussian_tt", dict(R=4)), ("tts", dict(P=2, R=2, seed=2 ** 32 + 9)),
+], ids=["tts", "otts", "kr", "kr-rademacher", "kr-spherical", "gaussian_tt", "tts-wide-seed"])
 def test_sketch_draws_match_per_core_streams(variant, kw, field):
     kw = dict(dict(seed=7), **kw)
     spec = SketchSpec(variant, (2, 3, 2, 2), field=field, **kw)
@@ -286,15 +294,6 @@ def test_khatri_rao_bases():
             assert_allclose(np.linalg.norm(c), np.sqrt(c.shape[1]), rtol=1e-12)
 
 
-def test_f_tt_r_variances():
-    spec = SketchSpec("f_tt_r", (3,) * 6, P=50, R=4, seed=2)
-    sk = make_sketch(spec)
-    first = np.concatenate([b[0].ravel() for b in sk.blocks])
-    interior = np.concatenate([b[2].ravel() for b in sk.blocks])
-    assert abs(first.var() - 1 / np.sqrt(4)) < 0.1
-    assert abs(interior.var() - 1 / 4) < 0.05
-
-
 def test_stiefel_sample_rows_orthonormal():
     for field in ("real", "complex"):
         m = stiefel_sample(rng_for(0, 9, 0, 0), 3, 7, field)
@@ -330,7 +329,6 @@ def test_otts_global_row_orthogonality(field):
         ("otts", dict(P=2, R=3)),
         ("khatri_rao", dict(P=4, R=1)),
         ("gaussian_tt", dict(P=1, R=3)),
-        ("f_tt_r", dict(P=3, R=2)),
     ],
 )
 def test_block_view_matches_dense(variant, kw):
