@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import os
+import sys
 import time
 from dataclasses import replace
 
@@ -68,9 +69,9 @@ def _load_config(path):
 FIELDS = ("real", "complex")
 
 # Each experiment's config keys: key -> (type, default).  A type is int
-# (a positive integer), float (ints accepted), a tuple of allowed strings,
-# list, or [type] for a list of that type.  A default of None is resolved
-# from other keys after the lookup, in ``_config``.
+# (a positive integer), float (finite; ints accepted), a tuple of allowed
+# strings, list, or [type] for a list of that type; a list is not empty.  A
+# default of None is resolved from other keys after the lookup, in ``_config``.
 CONFIGS = {
     "embed_quality": {
         "d": (int, 40), "n": (int, 4), "r": (int, 16), "trials": (int, 100),
@@ -107,17 +108,19 @@ BOUNDS = {
 
 
 def _typed(key, kind, v):
-    """``v`` checked against a table type; ints are widened for floats."""
+    """``v`` checked against a table type; ints are widened for floats, which
+    must be finite (JSON's NaN and Infinity fail, and so does a huge int)."""
     if isinstance(kind, list):
-        if isinstance(v, list):
+        if isinstance(v, list) and v:
             return [_typed(key, kind[0], u) for u in v]
     elif isinstance(kind, tuple):
         if isinstance(v, str) and v in kind:
             return v
     elif kind in (int, float):
-        if isinstance(v, (int, kind)) and not isinstance(v, bool) and (kind is float or v >= 1):
+        if (isinstance(v, (int, kind)) and not isinstance(v, bool)
+                and (v >= 1 if kind is int else abs(v) <= sys.float_info.max)):
             return kind(v)
-    elif isinstance(v, kind):
+    elif isinstance(v, kind) and v:
         return v
     raise ValueError("config %r has a bad value: %r" % (key, v))
 
@@ -125,9 +128,9 @@ def _typed(key, kind, v):
 def _variant_spec(entry, cfg, seed):
     """The sketch of one embed_quality ``variants`` entry; the experiment
     sets its dims, field and seed."""
-    if not isinstance(entry, dict) or not set(entry) <= {"variant", "P", "R", "base"}:
+    if not isinstance(entry, dict) or not set(entry) <= {"variant", "P", "R"}:
         raise ValueError("config 'variants' entry %r must be an object with keys among "
-                         "variant, P, R, base" % (entry,))
+                         "variant, P, R" % (entry,))
     try:
         return SketchSpec.from_json_obj(
             dict(entry, dims=[cfg["n"]] * cfg["d"], field=cfg["field"], seed=seed))
@@ -135,16 +138,12 @@ def _variant_spec(entry, cfg, seed):
         raise ValueError("config 'variants' entry %r: %s" % (entry, e)) from None
 
 
-def _variant_label(spec):
-    return spec.variant if spec.base == "gaussian" else "%s[%s]" % (spec.variant, spec.base)
-
-
 def _config(name, cfg):
     """The full config of experiment ``name``, defaults filled in.
 
     ValueError names an unknown key, a value of the wrong type or outside
     its ``BOUNDS``, a bad ``variants`` entry, two ``variants`` entries with
-    one summary key (label, P, R), or a kron basis with more vectors r than
+    one summary key (variant, P, R), or a kron basis with more vectors r than
     index tuples n**d.  A full config passes through unchanged.
     """
     if not isinstance(cfg, dict):
@@ -169,7 +168,7 @@ def _config(name, cfg):
         seen = {}
         for entry in out["variants"]:
             spec = _variant_spec(entry, out, 0)
-            key = (_variant_label(spec), spec.P, spec.R)
+            key = (spec.variant, spec.P, spec.R)
             if key in seen:
                 raise ValueError("config 'variants' entries %r and %r both give summary key "
                                  "'%s_P%d_R%d'" % ((seen[key], entry) + key))
@@ -219,20 +218,19 @@ def run_embed_quality(cfg, seed, out):
         basis = _kron_basis(d, n, r, seed)
     else:
         basis = _tt_basis(d, n, r, cfg["basis_rank"], seed)
-    labels = [_variant_label(s) for s in specs]
-    draws = [(label, spec, t) for label, spec in zip(labels, specs) for t in range(trials)]
-    sketches = (make_sketch(replace(spec, seed=seed * 1000003 + 7919 * t)) for _, spec, t in draws)
-    rows = [[d, n, r, label, spec.P, spec.R, t, lo, hi]
-            for (label, spec, t), (lo, hi) in zip(draws, analysis.empirical_spectrum(basis, sketches))]
+    draws = [(spec, t) for spec in specs for t in range(trials)]
+    sketches = (make_sketch(replace(spec, seed=seed * 1000003 + 7919 * t)) for spec, t in draws)
+    rows = [[d, n, r, spec.variant, spec.P, spec.R, t, lo, hi]
+            for (spec, t), (lo, hi) in zip(draws, analysis.empirical_spectrum(basis, sketches))]
     _write_csv(
         os.path.join(out, "embed_quality.csv"),
         ["d", "n", "r", "variant", "P", "R", "trial", "sigma_min_sq", "sigma_max_sq"],
         rows,
     )
     summary = {}
-    for label, spec in zip(labels, specs):
-        sel = [row for row in rows if row[3:6] == [label, spec.P, spec.R]]
-        summary["%s_P%d_R%d" % (label, spec.P, spec.R)] = {
+    for spec in specs:
+        sel = [row for row in rows if row[3:6] == [spec.variant, spec.P, spec.R]]
+        summary["%s_P%d_R%d" % (spec.variant, spec.P, spec.R)] = {
             "sigma_min_sq": _summarize([s[7] for s in sel]),
             "sigma_max_sq": _summarize([s[8] for s in sel]),
         }

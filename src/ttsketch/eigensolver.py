@@ -142,7 +142,6 @@ class RayleighRitzConfig:
     max_restarts: int = 5
     P: int = 4
     R: int = 16
-    variant: str = "tts"
     seed: int = 0
     rank_cap: int = 64
     tol: float = 1e-10
@@ -186,7 +185,7 @@ def sketched_rayleigh_ritz(h, cfg=None):
         cfg = RayleighRitzConfig()
     dims = h.dims_out
     field = "complex" if any(np.iscomplexobj(c) for c in h.cores) else "real"
-    spec = SketchSpec(cfg.variant, dims, P=cfg.P, R=cfg.R, field=field, seed=cfg.seed)
+    spec = SketchSpec("tts", dims, P=cfg.P, R=cfg.R, field=field, seed=cfg.seed)
     sk = make_sketch(spec)
     ranks = cfg.ranks
     caps = tt_feasible_ranks(dims, ranks)

@@ -8,6 +8,7 @@ variable precede all bits of the second.
 
 import numpy as np
 
+from .sketch import _integer
 from .tt import TensorTrain, tt_linear_combination
 
 
@@ -16,8 +17,8 @@ class DyadicGrid:
 
     def __init__(self, bits, n_vars=1):
         if np.isscalar(bits):
-            bits = [int(bits)] * n_vars
-        self.bits = tuple(int(b) for b in bits)
+            bits = [bits] * n_vars
+        self.bits = tuple(_integer("bits", b, "DyadicGrid") for b in bits)
         if any(b < 1 for b in self.bits):
             raise ValueError("each variable needs at least one bit")
         self.n_vars = len(self.bits)

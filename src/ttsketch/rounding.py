@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .contract import _left_step, partial_contractions, sketch_linear_combination
-from .sketch import SketchSpec, make_sketch
+from .sketch import SketchSpec, _integer, make_sketch
 from .tt import (
     STREAM_STTA_LEFT,
     TensorTrain,
@@ -36,13 +36,18 @@ from .tt import (
 )
 
 
-def _rank_list(ranks, d):
-    if np.isscalar(ranks):
-        return [1] + [int(ranks)] * (d - 1) + [1]
-    ranks = [int(r) for r in ranks]
-    if len(ranks) != d + 1:
-        raise ValueError("need d+1 ranks")
-    return ranks
+def _rank_list(ranks, d, key, low=1):
+    """Rank argument ``key``, one integer or d + 1 of them, as a list of
+    d + 1 ints; a ValueError names ``key`` unless each is at least ``low``."""
+    scalar = not np.iterable(ranks)
+    values = [_integer(key, r, "rank argument") for r in ([ranks] if scalar else ranks)]
+    if any(r < low for r in values):
+        raise ValueError("rank argument %r must be at least %d: %r" % (key, low, ranks))
+    if scalar:
+        return [1] + values * (d - 1) + [1]
+    if len(values) != d + 1:
+        raise ValueError("rank argument %r needs d+1 = %d entries" % (key, d + 1))
+    return values
 
 
 def _svd(a):
@@ -85,7 +90,7 @@ def tt_round(x, max_ranks=None, tol=None):
     d = left.d
     if d == 1:
         return left
-    caps = _rank_list(max_ranks, d) if max_ranks is not None else None
+    caps = _rank_list(max_ranks, d, "max_ranks") if max_ranks is not None else None
     cores = left.cores
     norm = np.linalg.norm(cores[-1])
     delta = tol * norm / np.sqrt(d - 1) if tol is not None else None
@@ -135,7 +140,7 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     """
     dims = x.dims
     d = len(dims)
-    caps = _rank_list(max_ranks, d)
+    caps = _rank_list(max_ranks, d, "max_ranks")
     if d > 1 and partials is None:
         if sk is None:
             sk = _chain_sketch(dims, caps, x.field, seed)
@@ -159,8 +164,8 @@ class STTASketchPair:
     def __init__(self, dims, ranks, oversample=None, field="real", seed=0):
         self.dims = tuple(dims)
         d = len(self.dims)
-        self.ranks = _rank_list(ranks, d)
-        over = self.ranks if oversample is None else _rank_list(oversample, d)
+        self.ranks = _rank_list(ranks, d, "ranks")
+        over = self.ranks if oversample is None else _rank_list(oversample, d, "oversample", low=0)
         self.left_bonds = [1] + self.ranks[1:d] + [1]
         # tt_random's streams for STREAM_STTA_LEFT, with entry variance one over
         # the left bond; scaling inside gaussian keeps the complex draws' bytes.

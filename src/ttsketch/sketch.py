@@ -14,8 +14,7 @@ otts
     unfoldings are Haar row-orthonormal frames scaled so each block has
     exactly orthogonal rows.
 khatri_rao
-    ``tts`` at R = 1; the base may also be rademacher, or spherical rows of
-    norm sqrt(n_k).
+    ``tts`` at R = 1.
 gaussian_tt
     ``tts`` at P = 1.
 
@@ -31,17 +30,17 @@ import numpy as np
 from .tt import STREAM_SKETCH, gaussian, rng_for
 
 VARIANTS = ("tts", "otts", "khatri_rao", "gaussian_tt")
-KR_BASES = ("gaussian", "rademacher", "spherical")
 
 # JSON type of each SketchSpec field; SketchSpec checks the integers itself.
 _JSON_TYPES = {"variant": str, "dims": list, "P": int, "R": int, "field": str,
-               "seed": int, "base": str}
+               "seed": int}
 
 
-def _integer(key, v):
-    """``v`` as an int; a ValueError names ``key`` unless v is a (numpy) integer."""
+def _integer(key, v, owner="sketch spec"):
+    """``v`` as an int; a ValueError names ``owner`` and ``key`` unless v is a
+    (numpy) integer."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError("sketch spec %r has a non-integer value %r" % (key, v))
+        raise ValueError("%s %r has a non-integer value %r" % (owner, key, v))
     return int(v)
 
 
@@ -53,7 +52,6 @@ class SketchSpec:
     R: int = 1
     field: str = "real"
     seed: int = 0
-    base: str = "gaussian"
 
     def __post_init__(self):
         if not np.iterable(self.dims):
@@ -73,13 +71,8 @@ class SketchSpec:
             raise ValueError("P and R must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.variant == "khatri_rao":
-            if self.R != 1:
-                raise ValueError("khatri_rao requires R = 1")
-            if self.base not in KR_BASES:
-                raise ValueError("unknown base %r" % (self.base,))
-        elif self.base != "gaussian":
-            raise ValueError("base %r is only for khatri_rao" % (self.base,))
+        if self.variant == "khatri_rao" and self.R != 1:
+            raise ValueError("khatri_rao requires R = 1")
         if self.variant == "gaussian_tt" and self.P != 1:
             raise ValueError("gaussian_tt requires P = 1")
 
@@ -134,13 +127,6 @@ def _block_cores(spec, P):
         if spec.variant == "otts":  # P is 1: the joint chain's frame
             m = stiefel_sample(rng, pat[k], n * pat[k + 1], spec.field)
             cores.append(m.reshape(shape) * np.sqrt(pat[k + 1] * n / pat[k]))
-        elif spec.base == "rademacher":
-            c = rng.choice([-1.0, 1.0], size=shape)
-            cores.append(c.astype(complex) if spec.field == "complex" else c)
-        elif spec.base == "spherical":  # Gaussian rows rescaled to norm sqrt(n_k)
-            g = gaussian(rng, shape, spec.field)
-            norms = np.linalg.norm(g.reshape(P, -1), axis=1)
-            cores.append(g * (np.sqrt(n) / norms)[:, None, None, None])
         else:
             cores.append(gaussian(rng, shape, spec.field, np.sqrt(1.0 / pat[k])))
     return cores

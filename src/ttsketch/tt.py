@@ -439,8 +439,9 @@ def tt_feasible_ranks(dims, r):
                  for k in range(d + 1))
 
 
-def tt_from_dense(a, dims, max_rank=None, tol=0.0):
-    """Exact (or truncated) TT-SVD of a dense tensor, row-major modes."""
+def tt_from_dense(a, dims, max_rank=None):
+    """Exact (or truncated) TT-SVD of a dense tensor, row-major modes; a bond
+    keeps its singular values above 1e-14 times the largest, at most ``max_rank``."""
     dims = tuple(dims)
     a = np.asarray(a).reshape(dims)
     d = len(dims)
@@ -449,7 +450,7 @@ def tt_from_dense(a, dims, max_rank=None, tol=0.0):
     m = a.reshape(r_prev * dims[0], -1)
     for k in range(d - 1):
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-        keep = int(np.sum(s > max(tol, s[0] * 1e-14 if s.size else 0)))
+        keep = int(np.sum(s > (s[0] * 1e-14 if s.size else 0)))
         if max_rank is not None:
             keep = min(keep, max_rank)
         keep = max(keep, 1)

@@ -91,11 +91,8 @@ def block_tt_view(sk):
 
 def spec_to_json_obj(spec):
     """The JSON object that ``SketchSpec.from_json_obj`` reads back as ``spec``."""
-    obj = {"variant": spec.variant, "P": spec.P, "R": spec.R, "dims": list(spec.dims),
-           "field": spec.field, "seed": spec.seed}
-    if spec.variant == "khatri_rao":
-        obj["base"] = spec.base
-    return obj
+    return {"variant": spec.variant, "P": spec.P, "R": spec.R, "dims": list(spec.dims),
+            "field": spec.field, "seed": spec.seed}
 
 
 def spec_rows(spec):

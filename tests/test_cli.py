@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -75,27 +76,6 @@ def test_embed_quality_command(tmp_path):
     assert 0 < block["sigma_min_sq"]["median"] <= block["sigma_max_sq"]["median"]
     rows = read_csv_rows(os.path.join(out, "embed_quality.csv"))
     assert len(rows) == 1 + 3
-
-
-def test_embed_quality_keeps_bases_apart(tmp_path):
-    # Entries that differ only in the Khatri-Rao base get their own label.
-    out = str(tmp_path)
-    bases = ["gaussian", "rademacher", "spherical"]
-    cfg = write_cfg(tmp_path / "cfg.json", {
-        "d": 6, "n": 3, "r": 4, "trials": 3,
-        "variants": [{"variant": "khatri_rao", "P": 5, "base": b} for b in bases],
-    })
-    assert main(["embed_quality", "--config", cfg, "--out", out]) == 0
-    s = read_summary(out)
-    keys = ["khatri_rao_P5_R1", "khatri_rao[rademacher]_P5_R1", "khatri_rao[spherical]_P5_R1"]
-    assert sorted(s) == sorted(keys)
-    for key in keys:
-        assert s[key]["sigma_min_sq"]["n"] == s[key]["sigma_max_sq"]["n"] == 3
-    rows = read_csv_rows(os.path.join(out, "embed_quality.csv"))
-    labels = [row[3] for row in rows[1:]]
-    assert sorted(set(labels)) == sorted(["khatri_rao", "khatri_rao[rademacher]",
-                                          "khatri_rao[spherical]"])
-    assert all(labels.count(label) == 3 for label in set(labels))
 
 
 def test_round_synthetic_command(tmp_path):
@@ -208,6 +188,8 @@ BAD_CONFIGS = [
     ("embed_quality", {"variants": [{"variant": "tts", "P": 2, "seed": 1}]}, "'seed': 1}"),
     ("embed_quality", {"variants": [{"variant": "f_tt_r", "P": 3}]},
      "entry {'variant': 'f_tt_r', 'P': 3}: unknown variant 'f_tt_r'"),
+    ("embed_quality", {"variants": [{"variant": "khatri_rao", "P": 5, "base": "gaussian"}]},
+     "entry {'variant': 'khatri_rao', 'P': 5, 'base': 'gaussian'} must be an object"),
     ("gamma_table", {"d": True}, "config 'd'"),
     ("verify_moments", {"fields": ["real", "quaternion"]}, "config 'fields'"),
     ("gamma_table", {"d": 17}, "config 'd'"),
@@ -215,11 +197,18 @@ BAD_CONFIGS = [
     # Two entries with one summary key would pool their pairwise-equal rows.
     ("embed_quality", {"d": 6, "n": 2, "r": 3, "trials": 2,
                        "variants": [{"variant": "khatri_rao", "P": 5},
-                                    {"variant": "khatri_rao", "P": 5, "base": "gaussian"}]},
-     "'base': 'gaussian'} both give summary key 'khatri_rao_P5_R1'"),
+                                    {"variant": "khatri_rao", "P": 5, "R": 1}]},
+     "'R': 1} both give summary key 'khatri_rao_P5_R1'"),
+    # JSON's NaN and Infinity used to reach LAPACK, which failed to converge.
+    ("eigensolve", {"g": math.nan}, "config 'g'"),
+    ("round_synthetic", {"eps_list": [math.inf], "d": 4, "trials": 1, "R_list": [1]},
+     "config 'eps_list'"),
+    # An empty list used to run, and then fail on an empty max().
+    ("verify_moments", {"fields": []}, "config 'fields'"),
 ]
 BAD_IDS = ["unknown-key", "float-int", "model", "null-P", "variant-key", "retired-variant",
-           "bool-int", "fields", "gamma-d-cap", "eigensolve-one-site", "repeated-variant"]
+           "retired-base", "bool-int", "fields", "gamma-d-cap", "eigensolve-one-site",
+           "repeated-variant", "nan-float", "inf-float-list", "empty-list"]
 
 
 @pytest.mark.parametrize("name,cfg,named", BAD_CONFIGS, ids=BAD_IDS)
@@ -292,7 +281,6 @@ json_values = st.recursive(
 variant_entries = st.fixed_dictionaries(
     {"variant": st.sampled_from(["tts", "khatri_rao", "otts"]) | json_values},
     optional={"P": st.integers(1, 4) | json_values, "R": st.integers(1, 4) | json_values,
-              "base": st.sampled_from(["gaussian", "spherical"]) | json_values,
               "seed": json_values})
 
 
@@ -305,7 +293,8 @@ def plausible(kind):
     if kind is int:
         return st.integers(0, 6)
     if kind is float:
-        return st.floats(-3, 3) | st.integers(-3, 3)
+        return st.floats(-3, 3) | st.integers(-3, 3) | st.sampled_from([math.nan, math.inf,
+                                                                         -math.inf])
     return st.lists(variant_entries, max_size=2)
 
 
@@ -325,4 +314,8 @@ def test_config_fuzz_gives_config_or_value_error(data, name):
         assert any(repr(k) in str(e) for k in set(cfg) | set(table)), str(e)
         return
     assert set(out) == set(table) and None not in out.values()
+    for v in out.values():  # floats are finite and lists hold something
+        assert v != []
+        assert all(math.isfinite(u) for u in (v if isinstance(v, list) else [v])
+                   if isinstance(u, float))
     assert _config(name, out) == out

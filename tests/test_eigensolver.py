@@ -214,7 +214,7 @@ def test_sketched_rayleigh_ritz_one_vector_basis():
     cfg = RayleighRitzConfig(ranks=4, m=1, max_restarts=2, P=4, R=8, seed=5)
     out = sketched_rayleigh_ritz(op, cfg)
     dims = op.dims_out
-    sk = make_sketch(SketchSpec(cfg.variant, dims, P=cfg.P, R=cfg.R, seed=cfg.seed))
+    sk = make_sketch(SketchSpec("tts", dims, P=cfg.P, R=cfg.R, seed=cfg.seed))
     v = tt_random(dims, tt_feasible_ranks(dims, cfg.ranks), seed=cfg.seed,
                   stream=STREAM_EXPERIMENT)
     v = tt_scale(v, 1.0 / tt_norm(v))

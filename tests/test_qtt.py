@@ -25,6 +25,19 @@ def test_grid_layout():
         DyadicGrid(0)
 
 
+@pytest.mark.parametrize("bits", [2.5, True, "3", [2, 3.7], [2, np.float64(3)]],
+                         ids=["float", "bool", "str", "float-entry", "numpy-float-entry"])
+def test_grid_bits_must_be_integers(bits):
+    # These used to be truncated, read as 1, or parsed: 2.5 gave (2,).
+    with pytest.raises(ValueError, match="'bits'"):
+        DyadicGrid(bits)
+
+
+def test_grid_reads_numpy_integer_bits_as_ints():
+    g = DyadicGrid([np.int64(2), np.uint8(3)])
+    assert g.bits == (2, 3) and all(type(b) is int for b in g.bits)
+
+
 def test_grid_point_is_bit_expansion():
     g = DyadicGrid(4)
     # msb-first: index (1, 0, 1, 1) -> 0.1011_2

@@ -450,6 +450,39 @@ def test_stta_oversample_forms():
             stta(x, list(RANKS), oversample=bad)
 
 
+# ------------------------------------------------- rank arguments
+
+@pytest.mark.parametrize("call,key", [
+    (lambda x: tt_round(x, 2.5), "max_ranks"),
+    (lambda x: tt_round(x, 0), "max_ranks"),
+    (lambda x: tt_round(x, -1), "max_ranks"),
+    (lambda x: tt_round(x, [1, 2, 2.0, 2, 2, 1]), "max_ranks"),
+    (lambda x: tt_rand_round(x, True), "max_ranks"),
+    (lambda x: tt_rand_round(x, 0), "max_ranks"),
+    (lambda x: stta(x, 0), "ranks"),
+    (lambda x: stta(x, "3"), "ranks"),
+    (lambda x: stta(x, 2, oversample=-1), "oversample"),
+    (lambda x: STTASketchPair(x.dims, 2, oversample=[0, 1, 1.5, 1, 1, 0]), "oversample"),
+], ids=["float", "zero", "negative", "float-entry", "bool", "rand-zero", "stta-zero",
+        "stta-str", "negative-oversample", "float-oversample-entry"])
+def test_rank_arguments_must_be_integers(call, key):
+    # These used to round at int(r) or at rank 1, or fail inside numpy
+    # (tt_rand_round at 0) or with a ZeroDivisionError (stta at 0).
+    with pytest.raises(ValueError, match=repr(key)):
+        call(make_x(18))
+
+
+def test_numpy_integer_ranks_round_as_ints():
+    x = make_x(19)
+    pairs = [(tt_round(x, 2), tt_round(x, np.int64(2))),
+             (tt_rand_round(x, 2, seed=3), tt_rand_round(x, np.int32(2), seed=3)),
+             (stta(x, list(RANKS), oversample=0, seed=3),
+              stta(x, [np.int64(r) for r in RANKS], oversample=np.uint8(0), seed=3))]
+    for a, b in pairs:
+        for ca, cb in zip(a.cores, b.cores, strict=True):
+            np.testing.assert_array_equal(ca, cb)
+
+
 # ------------------------------------------------------------- pinv_trunc
 
 def test_pinv_trunc_matches_pinv():

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from oracles import block_tt_view, oracle_dense, spec_rows, spec_to_json_obj
 from ttsketch.sketch import (
-    KR_BASES,
     VARIANTS,
     SketchSpec,
     make_sketch,
@@ -26,14 +25,10 @@ def test_spec_validation():
         SketchSpec("khatri_rao", (2, 2), P=2, R=2)
     with pytest.raises(ValueError, match="P = 1"):
         SketchSpec("gaussian_tt", (2, 2), P=2, R=2)
-    with pytest.raises(ValueError, match="base"):
-        SketchSpec("khatri_rao", (2, 2), P=2, base="cauchy")
     with pytest.raises(ValueError, match="field"):
         SketchSpec("tts", (2, 2), field="quaternion")
     with pytest.raises(ValueError, match="seed"):
         SketchSpec("tts", (2, 2), seed=-1)
-    with pytest.raises(ValueError, match="base"):
-        SketchSpec("tts", (2, 2), base="rademacher")
 
 
 def test_bond_patterns():
@@ -69,8 +64,7 @@ def test_otts_rank_clipping():
 
 
 def test_json_roundtrip():
-    spec = SketchSpec("khatri_rao", (2, 3, 4), P=5, field="complex", seed=9,
-                      base="spherical")
+    spec = SketchSpec("khatri_rao", (2, 3, 4), P=5, field="complex", seed=9)
     again = SketchSpec.from_json_obj(json.loads(json.dumps(spec_to_json_obj(spec))))
     assert again == spec
     spec2 = SketchSpec("gaussian_tt", (2, 2), R=2, seed=2 ** 40)
@@ -106,8 +100,9 @@ def test_numpy_integers_are_read_as_ints():
     ({"variant": "gaussian_tt", "dims": [2, 2], "ranks": None}, "ranks"),
     ({"variant": 7, "dims": [2, 2]}, "variant"),
     ({"variant": "tts", "dims": [2, 2], "p": 4}, "p"),
+    ({"variant": "khatri_rao", "dims": [2, 2], "P": 2, "base": "gaussian"}, "base"),
 ], ids=["no-variant", "no-dims", "scalar-dims", "str-dim", "null-P", "float-R",
-        "bool-seed", "null-ranks", "int-variant", "typo-p"])
+        "bool-seed", "null-ranks", "int-variant", "typo-p", "retired-base"])
 def test_json_spec_errors_name_the_key(obj, key):
     with pytest.raises(ValueError, match=repr(key)):
         SketchSpec.from_json_obj(obj)
@@ -126,7 +121,7 @@ small = st.integers(0, 4)
 plausible = {
     "variant": st.sampled_from(VARIANTS), "dims": st.lists(small, min_size=1, max_size=4),
     "P": small, "R": small, "field": st.sampled_from(["real", "complex", "quaternion"]),
-    "seed": st.integers(-1, 2 ** 40), "base": st.sampled_from(KR_BASES + ("cauchy",)),
+    "seed": st.integers(-1, 2 ** 40),
 }
 
 
@@ -179,7 +174,7 @@ def test_wide_seeds_are_not_wrapped():
 @pytest.mark.parametrize("variant,kw,digest", [
     ("tts", dict(P=3, R=2), "c8221ae24a35b055"),
     ("otts", dict(P=2, R=3), "9a6ecaa64303a74b"),
-    ("khatri_rao", dict(P=4, R=1, base="rademacher"), "481028e52de8d5d0"),
+    ("khatri_rao", dict(P=4, R=1), "197ed30f26164ff4"),
     ("gaussian_tt", dict(P=1, R=4), "90496ee498477748"),
 ], ids=["tts", "otts", "khatri_rao", "gaussian_tt"])
 def test_stacked_blocks_keep_the_pinned_draws(variant, kw, digest):
@@ -221,8 +216,7 @@ def test_block_views_are_made_when_read():
 
 
 def reference_cores(spec):
-    """Core k of all blocks drawn from the one stream rng_for(seed, 2, k),
-    block by block where a block is normalized on its own."""
+    """Core k of all blocks drawn from the one stream rng_for(seed, 2, k)."""
     dims, pat = spec.dims, spec.bond_pattern()
     d, P = len(dims), 1 if spec.variant == "otts" else spec.P
     cores = []
@@ -232,13 +226,6 @@ def reference_cores(spec):
         if spec.variant == "otts":
             m = stiefel_sample(rng, pat[k], dims[k] * pat[k + 1], spec.field)
             c = m.reshape(shape) * np.sqrt(pat[k + 1] * dims[k] / pat[k])
-        elif spec.variant == "khatri_rao" and spec.base == "rademacher":
-            c = rng.choice([-1.0, 1.0], size=shape).astype(
-                complex if spec.field == "complex" else float)
-        elif spec.variant == "khatri_rao":
-            c = gaussian(rng, shape, spec.field)
-            if spec.base == "spherical":
-                c = np.stack([b * (np.sqrt(dims[k]) / np.linalg.norm(b)) for b in c])
         else:
             c = gaussian(rng, shape, spec.field, scale=np.sqrt(1.0 / spec.R))
         cores.append(c)
@@ -248,20 +235,16 @@ def reference_cores(spec):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("variant,kw", [
     ("tts", dict(P=5, R=3)), ("otts", dict(P=2, R=3)),
-    ("khatri_rao", dict(P=4)), ("khatri_rao", dict(P=3, base="rademacher")),
-    ("khatri_rao", dict(P=3, base="spherical")),
-    ("gaussian_tt", dict(R=4)), ("tts", dict(P=2, R=2, seed=2 ** 32 + 9)),
-], ids=["tts", "otts", "kr", "kr-rademacher", "kr-spherical", "gaussian_tt", "tts-wide-seed"])
+    ("khatri_rao", dict(P=4)), ("gaussian_tt", dict(R=4)),
+    ("tts", dict(P=2, R=2, seed=2 ** 32 + 9)),
+], ids=["tts", "otts", "kr", "gaussian_tt", "tts-wide-seed"])
 def test_sketch_draws_match_per_core_streams(variant, kw, field):
     kw = dict(dict(seed=7), **kw)
     spec = SketchSpec(variant, (2, 3, 2, 2), field=field, **kw)
     sk = make_sketch(spec)
     for c, ref in zip(sk.cores, reference_cores(spec), strict=True):
         assert c.dtype == ref.dtype and c.shape == ref.shape
-        if spec.base == "spherical":  # the block norms are one reduction over the stack
-            assert_allclose(c, ref, rtol=4 * np.finfo(float).eps, atol=0)
-        else:
-            assert np.array_equal(c, ref)
+        assert np.array_equal(c, ref)
     assert len(sk.blocks) == (1 if variant == "otts" else spec.P)
 
 
@@ -281,17 +264,6 @@ def test_complex_gaussian_halved_components():
     assert abs(entries.real.var() * 8 - 0.5) < 0.02
     assert abs(entries.imag.var() * 8 - 0.5) < 0.02
     assert abs(np.mean(entries.real * entries.imag)) < 0.01
-
-
-def test_khatri_rao_bases():
-    rad = make_sketch(SketchSpec("khatri_rao", (3, 4), P=4, base="rademacher"))
-    for b in rad.blocks:
-        for c in b:
-            assert set(np.unique(c)) <= {-1.0, 1.0}
-    sph = make_sketch(SketchSpec("khatri_rao", (3, 4), P=4, base="spherical"))
-    for b in sph.blocks:
-        for c in b:
-            assert_allclose(np.linalg.norm(c), np.sqrt(c.shape[1]), rtol=1e-12)
 
 
 def test_stiefel_sample_rows_orthonormal():
