@@ -43,6 +43,7 @@ from .qtt import DyadicGrid, qtt_exp_linear, qtt_cos_linear
 from .eigensolver import (
     tto_tfim,
     tto_heisenberg,
+    tfim_ground_energy,
     sketched_rayleigh_ritz,
     RayleighRitzConfig,
     true_rayleigh_quotient,
@@ -59,8 +60,8 @@ __all__ = [
     "entanglement_constant", "empirical_spectrum", "isotropy_samples",
     "osi_sufficient_P", "rsvd_constant", "rounding_error_constant",
     "ose_sufficient_params", "DyadicGrid", "qtt_exp_linear", "qtt_cos_linear",
-    "tto_tfim", "tto_heisenberg", "sketched_rayleigh_ritz", "RayleighRitzConfig",
-    "true_rayleigh_quotient",
+    "tto_tfim", "tto_heisenberg", "tfim_ground_energy", "sketched_rayleigh_ritz",
+    "RayleighRitzConfig", "true_rayleigh_quotient",
 ]
 
 __version__ = "0.1.0"

@@ -8,17 +8,20 @@ variable precede all bits of the second.
 
 import numpy as np
 
-from .sketch import _integer
-from .tt import TensorTrain, tt_linear_combination
+from .tt import TensorTrain, _integer, tt_linear_combination
 
 
 class DyadicGrid:
     """Bit layout of one or more variables on dyadic grids."""
 
     def __init__(self, bits, n_vars=1):
+        if _integer("n_vars", n_vars, "DyadicGrid") < 1:
+            raise ValueError("DyadicGrid 'n_vars' must be at least 1: %r" % (n_vars,))
         if np.isscalar(bits):
             bits = [bits] * n_vars
         self.bits = tuple(_integer("bits", b, "DyadicGrid") for b in bits)
+        if not self.bits:
+            raise ValueError("DyadicGrid 'bits' is empty: a grid needs a variable")
         if any(b < 1 for b in self.bits):
             raise ValueError("each variable needs at least one bit")
         self.n_vars = len(self.bits)

@@ -8,7 +8,9 @@ Three routes:
 * ``tt_rand_round``: randomize-then-orthogonalize.  The same left-to-right
   sweep, in which a single nested sketch of the tail chains replaces the
   QR at every bond that must be cut; a bond already within its target
-  keeps the exact QR.  Output is left-orthogonal.
+  keeps the exact QR, and a bond whose target is its tail size takes the
+  QR of its whole unfolding, through the exact tail.  Output is
+  left-orthogonal.
 * ``stta``: two-sided streaming truncation.  Left and right sketches are
   combined through small pseudo-inverses; the map from train to sketch
   streams is linear, so streams of a sum are sums of streams.
@@ -22,13 +24,15 @@ import math
 
 import numpy as np
 
-from .contract import _left_step, partial_contractions, sketch_linear_combination
-from .sketch import SketchSpec, _integer, make_sketch
+from .contract import _left_step, _mirror, partial_contractions, sketch_linear_combination
+from .sketch import SketchSpec, make_sketch
 from .tt import (
     STREAM_STTA_LEFT,
     TensorTrain,
+    _integer,
     _left_sweep,
     _sweep_terms,
+    _term_ops,
     _terms,
     gaussian,
     rng_for,
@@ -117,6 +121,25 @@ def _chain_sketch(dims, bonds, field, seed):
                                   field=field, seed=seed))
 
 
+def _exact_tails(x, k0):
+    """{k: T_k} for the bonds k >= k0 of ``x``: T_k (prod(dims[k+1:]), chi)
+    pairs each term's modes after bond k with the identity, by the mirrored
+    left steps of ``contract._sweep`` without a sketch core.  The columns
+    follow the unfolding of ``tt._sweep_terms``, term blocks in order with
+    the coefficients folded in as ``PartialSketchSet.combine`` folds them,
+    so m @ T_k.T is the whole unfolding at bond k."""
+    terms, coefficients = _terms(x)
+    blocks = {k: [] for k in range(k0, len(x.dims) - 1)}
+    for a, t in zip(coefficients, terms):
+        w = np.ones((1, 1))
+        ops = _term_ops(t)
+        for k in range(len(ops) - 2, k0 - 1, -1):
+            w = _left_step(w, _mirror(ops[k + 1]))
+            w = w.reshape(-1, w.shape[2])
+            blocks[k].append(a * w)
+    return {k: np.concatenate(b, axis=1) for k, b in blocks.items()}
+
+
 def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     """Randomize-then-orthogonalize rounding; output is left-orthogonal.
 
@@ -128,15 +151,23 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
     One sketch of the tail chains is shared across all modes; by default it
     is ``gaussian_tt`` at R = the largest inner cap.  Each bond is
     capped at the target, at the size of the left unfolding, at the tail
-    size and at the input's own bond, so the output ranks are feasible; a
-    bond that fits is orthogonalized exactly, by a QR of its unfolding,
-    without the sketch.  At a bond that must be cut, if the sketch carries
-    more columns than the capped rank, the range basis is truncated
-    through an SVD of the sketched unfolding.  Precomputed partial sketches
-    may be passed in; their column layout must match the cores of the
-    assembled train: term blocks in order, operator bond major within an
-    (operator, train) term, as ``sketch_linear_combination`` gives them.
-    The coefficients are folded into the last core.
+    size and at the input's own bond, so the output ranks are feasible.
+    Only a bond the cap cuts below its tail size reads the sketch:
+
+    * a bond that fits is orthogonalized exactly, by a QR of its unfolding;
+    * a bond whose cap reaches its tail size prod(dims[k+1:]), but whose
+      unfolding is larger, takes the QR of the whole unfolding, m times
+      the exact pairing of the modes after it (computed once, at the first
+      such bond, by ``_exact_tails``), with no sketch and no SVD;
+    * at any other bond, if the sketch carries more columns than the
+      capped rank, the range basis is truncated through an SVD of the
+      sketched unfolding.
+
+    Precomputed partial sketches may be passed in; their column layout
+    must match the cores of the assembled train: term blocks in order,
+    operator bond major within an (operator, train) term, as
+    ``sketch_linear_combination`` gives them.  The coefficients are folded
+    into the last core.
     """
     dims = x.dims
     d = len(dims)
@@ -146,13 +177,20 @@ def tt_rand_round(x, max_ranks, sk=None, partials=None, seed=0):
             sk = _chain_sketch(dims, caps, x.field, seed)
         partials = sketch_linear_combination(sk, *_terms(x))
     tails = [math.prod(dims[k + 1:]) for k in range(d)]
+    exact = {}
 
     def bond(k, m):
         target = min(caps[k + 1], tails[k])
         if min(m.shape) <= target:
             return np.linalg.qr(m)  # the bond fits: exact, and R is q* m
-        z = m @ partials.Ws[k + 1].T
-        q = _svd(z)[0][:, :target] if z.shape[1] > target else np.linalg.qr(z)[0]
+        if target == tails[k]:
+            # The cap cuts nothing: the range is that of the whole unfolding.
+            if not exact:
+                exact.update(_exact_tails(x, k))
+            q = np.linalg.qr(m @ exact[k].T)[0]
+        else:
+            z = m @ partials.Ws[k + 1].T
+            q = _svd(z)[0][:, :target] if z.shape[1] > target else np.linalg.qr(z)[0]
         return q, q.conj().T @ m
 
     return _sweep_terms(x, bond)

@@ -27,21 +27,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .tt import STREAM_SKETCH, gaussian, rng_for
+from .tt import STREAM_SKETCH, _integer, gaussian, rng_for
 
 VARIANTS = ("tts", "otts", "khatri_rao", "gaussian_tt")
 
 # JSON type of each SketchSpec field; SketchSpec checks the integers itself.
 _JSON_TYPES = {"variant": str, "dims": list, "P": int, "R": int, "field": str,
                "seed": int}
-
-
-def _integer(key, v, owner="sketch spec"):
-    """``v`` as an int; a ValueError names ``owner`` and ``key`` unless v is a
-    (numpy) integer."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError("%s %r has a non-integer value %r" % (owner, key, v))
-    return int(v)
 
 
 @dataclass
@@ -56,8 +48,9 @@ class SketchSpec:
     def __post_init__(self):
         if not np.iterable(self.dims):
             raise ValueError("sketch spec 'dims' is not a list: %r" % (self.dims,))
-        self.dims = tuple(_integer("dims", n) for n in self.dims)
-        self.P, self.R, self.seed = (_integer(k, getattr(self, k)) for k in ("P", "R", "seed"))
+        self.dims = tuple(_integer("dims", n, "sketch spec") for n in self.dims)
+        self.P, self.R, self.seed = (_integer(k, getattr(self, k), "sketch spec")
+                                     for k in ("P", "R", "seed"))
         self.validate()
 
     def validate(self):

@@ -43,6 +43,14 @@ def rng_for(seed, stream, *path):
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
+def _integer(key, v, owner):
+    """``v`` as an int; a ValueError names ``owner`` and ``key`` unless v is a
+    (numpy) integer."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError("%s %r has a non-integer value %r" % (owner, key, v))
+    return int(v)
+
+
 def gaussian(rng, shape, field, scale=1.0):
     """Standard normal array; complex entries are (Z1 + i Z2)/sqrt(2)."""
     if field == "complex":
@@ -177,6 +185,11 @@ def _terms(x):
     return (x.terms, x.coefficients) if isinstance(x, TTSum) else ([x], [1.0])
 
 
+def _term_ops(t):
+    """The local operators of ``contract._left_step`` along one term."""
+    return list(zip(t[0].cores, t[1].cores)) if isinstance(t, tuple) else t.cores
+
+
 def _sweep_terms(x, bond):
     """Left-to-right sweep over the terms of ``x``, a train or a ``TTSum``.
 
@@ -189,8 +202,7 @@ def _sweep_terms(x, bond):
     None leaves its core out, and a sweep of such bonds keeps only the last.
     """
     terms, coefficients = _terms(x)
-    ops = [list(zip(t[0].cores, t[1].cores)) if isinstance(t, tuple) else t.cores
-           for t in terms]
+    ops = [_term_ops(t) for t in terms]
     # Terms of a sum are plain; a train may carry a left block rank.
     eye = np.eye(1 if isinstance(x, TTSum) else x.ranks[0])
     pieces = [_left_step(eye, op[0]) for op in ops]
@@ -442,6 +454,8 @@ def tt_feasible_ranks(dims, r):
 def tt_from_dense(a, dims, max_rank=None):
     """Exact (or truncated) TT-SVD of a dense tensor, row-major modes; a bond
     keeps its singular values above 1e-14 times the largest, at most ``max_rank``."""
+    if max_rank is not None and _integer("max_rank", max_rank, "tt_from_dense") < 1:
+        raise ValueError("tt_from_dense 'max_rank' must be at least 1: %r" % (max_rank,))
     dims = tuple(dims)
     a = np.asarray(a).reshape(dims)
     d = len(dims)

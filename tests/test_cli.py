@@ -152,6 +152,28 @@ def test_eigensolve_zero_hamiltonian_writes_valid_json(tmp_path):
     assert "rel_energy_error" not in s
 
 
+def test_eigensolve_reports_the_free_fermion_energy_beyond_lanczos(tmp_path):
+    # A TFIM run takes the closed-form reference at any d; d = 30 is past
+    # the Lanczos limit of 2**14 states, where no error was reported.
+    cfg = {"d": 30, "J": 0.8, "ranks": 4, "m": 3, "restarts": 1}
+    assert main(["eigensolve", "--config", write_cfg(tmp_path / "cfg.json", cfg),
+                 "--out", str(tmp_path)]) == 0
+    s = read_summary(tmp_path)
+    e0 = ttsketch.tfim_ground_energy(30, 0.8, 1.5)
+    assert s["reference"] == "free_fermion" and s["dense_ground_energy"] == e0
+    assert s["true_rayleigh_quotient"] >= e0
+    assert s["rel_energy_error"] == abs(s["true_rayleigh_quotient"] - e0) / abs(e0)
+
+
+@pytest.mark.parametrize("cfg, reference", [({"d": 6}, "free_fermion"),
+                                            ({"model": "heisenberg", "d": 6}, "lanczos"),
+                                            ({"model": "heisenberg", "d": 15}, None)])
+def test_eigensolve_names_its_reference(tmp_path, cfg, reference):
+    s = run_eigensolve(dict(cfg, ranks=4, m=3, restarts=1), 0, str(tmp_path))
+    assert s.get("reference") == reference
+    assert ("dense_ground_energy" in s) == (reference is not None)
+
+
 def test_convert_round_trip(tmp_path):
     x = tt_random((2, 3, 2), (1, 2, 2, 1), seed=5)
     src = str(tmp_path / "x.tt")

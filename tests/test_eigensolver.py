@@ -11,6 +11,7 @@ from ttsketch.eigensolver import (
     ground_energy,
     ritz_solve,
     sketched_rayleigh_ritz,
+    tfim_ground_energy,
     true_rayleigh_quotient,
     tto_heisenberg,
     tto_tfim,
@@ -114,6 +115,19 @@ def test_ground_energy_matches_dense_eigvalsh(op):
 def test_ground_energy_matches_free_fermions_at_d14(g):
     e0 = free_fermion_tfim_energy(14, 1.0, g)
     assert abs(ground_energy(tto_tfim(14, g=g)) - e0) <= 1e-12 * abs(e0)
+
+
+@pytest.mark.parametrize("d, J, g", [(2, 1.0, 1.0), (5, 1.3, 0.7), (7, -0.4, 2.0),
+                                     (10, 1.0, 1.5), (10, 2.0, 0.0), (9, 0.0, -1.2)])
+def test_tfim_ground_energy_matches_dense_eigvalsh(d, J, g):
+    w0 = np.linalg.eigvalsh(dense_tfim(d, J, g))[0]
+    assert abs(tfim_ground_energy(d, J, g) - w0) <= 1e-12 * abs(w0)
+
+
+@pytest.mark.parametrize("J, g", [(1.0, 0.5), (1.0, 1.5), (0.6, 1.1)])
+def test_tfim_ground_energy_matches_lanczos_at_d14(J, g):
+    e0 = ground_energy(tto_tfim(14, J=J, g=g))
+    assert abs(tfim_ground_energy(14, J, g) - e0) <= 1e-12 * abs(e0)
 
 
 def test_ground_energy_raises_when_not_converged():

@@ -33,6 +33,18 @@ def test_grid_bits_must_be_integers(bits):
         DyadicGrid(bits)
 
 
+@pytest.mark.parametrize("kwargs, key", [({"bits": 3, "n_vars": 0}, "'n_vars'"),
+                                         ({"bits": [], "n_vars": 1}, "'bits'"),
+                                         ({"bits": 3, "n_vars": 2.5}, "'n_vars'"),
+                                         ({"bits": 3, "n_vars": -1}, "'n_vars'")],
+                         ids=["no-vars", "no-bits", "float-vars", "negative-vars"])
+def test_grid_layout_must_be_nonempty(kwargs, key):
+    # An empty layout used to make a grid with no modes, and a float n_vars
+    # failed with a TypeError.
+    with pytest.raises(ValueError, match=key):
+        DyadicGrid(**kwargs)
+
+
 def test_grid_reads_numpy_integer_bits_as_ints():
     g = DyadicGrid([np.int64(2), np.uint8(3)])
     assert g.bits == (2, 3) and all(type(b) is int for b in g.bits)

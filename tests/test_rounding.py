@@ -324,6 +324,76 @@ def test_rand_round_train_is_the_one_term_sum(field):
         assert all(np.array_equal(a, b) for a, b in zip(y.cores, z.cores))
 
 
+# ------------------------------------ bonds bounded by their tail size
+
+def tail_case(dims, field, seed):
+    """A TTSum of two (operator, train) terms and a train, whose bonds
+    exceed the tail size prod(dims[k+1:]) near the end, and its dense
+    vector."""
+    d = len(dims)
+    x1 = tt_random(dims, [1] + [3] * (d - 1) + [1], field=field, seed=seed)
+    x2 = tt_random(dims, [1] + [2] * (d - 1) + [1], seed=seed + 1)
+    x3 = tt_random(dims, [1] + [4] * (d - 1) + [1], field=field, seed=seed + 2)
+    h1, h2 = random_operator(dims, 2, seed + 3), random_operator(dims, 3, seed + 4)
+    coefficients = [0.8, -1.1 + 0.3j, 0.5] if field == "complex" else [0.8, -1.1, 0.5]
+    terms = [(h1, x1), x2, (h2, x3)]
+    dense = sum(a * (tto_dense(t[0]) @ oracle_vector(t[1]) if isinstance(t, tuple)
+                     else oracle_vector(t))
+                for a, t in zip(coefficients, terms))
+    return TTSum(terms, coefficients), dense
+
+
+TAIL_DIMS = [(2, 3, 2, 2), (3, 2, 3, 2, 2), (2,) * 8]
+TWO_SKETCHES = [("tts", 2, 3, 5), ("gaussian_tt", 1, 6, 6)]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dims", TAIL_DIMS)
+def test_rand_round_uncut_bonds_do_not_read_the_sketch(dims, field):
+    # At caps the tensor's feasible ranks no bond is cut: a bond either fits
+    # (QR of its unfolding) or is bounded by its tail size, where the exact
+    # tail replaces the sketch.  Two different sketches give the same cores.
+    s, dense = tail_case(dims, field, 41)
+    caps = list(tt.tt_feasible_ranks(dims, 10 ** 6))
+    ys = [tt_rand_round(s, caps, sk=make_sketch(SketchSpec(v, dims, P=p, R=r, field=field,
+                                                           seed=seed)))
+          for v, p, r, seed in TWO_SKETCHES]
+    for a, b in zip(ys[0].cores, ys[1].cores, strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert rel_err(oracle_vector(ys[0]), dense) < 1e-13
+
+
+@pytest.mark.parametrize("dims", TAIL_DIMS)
+def test_rand_round_cut_bonds_read_the_sketch(dims):
+    # Cap 2 is below the tail size and the sum's rank at the second bond,
+    # which goes through the sketch; the ranks stay feasible for either
+    # sketch.
+    s, _ = tail_case(dims, "real", 43)
+    feasible = tt.tt_feasible_ranks(dims, 2)
+    ys = [tt_rand_round(s, 2, sk=make_sketch(SketchSpec(v, dims, P=p, R=r, seed=seed)))
+          for v, p, r, seed in TWO_SKETCHES]
+    assert not np.allclose(ys[0].cores[1], ys[1].cores[1])
+    for y in ys:
+        assert all(a <= b for a, b in zip(y.ranks, feasible, strict=True))
+        assert is_orthogonal(y, "left")
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dims", TAIL_DIMS)
+@pytest.mark.parametrize("cap", [20, 40])
+def test_rand_round_recovers_sums_with_operator_terms(dims, field, cap):
+    # Caps at or above the sum's rank (at most 2 * 3 + 2 + 3 * 4 = 20): the
+    # bonds the caps cut go through the sketch, those bounded by their tail
+    # size through the exact tail, and the sum is recovered to round-off.
+    s, dense = tail_case(dims, field, 47)
+    for sk in (None, make_sketch(SketchSpec("tts", dims, P=4, R=cap // 2, field=field,
+                                            seed=5))):
+        y = tt_rand_round(s, cap, sk=sk, seed=2)
+        assert all(a <= b for a, b in zip(y.ranks, tt.tt_feasible_ranks(dims, cap), strict=True))
+        assert rel_err(oracle_vector(y), dense) < 1e-13
+        assert is_orthogonal(y, "left")
+
+
 @pytest.mark.parametrize("coefficient_field", ["real", "complex"])
 @pytest.mark.parametrize("d", [1, 2, 6])
 def test_round_sum_matches_round_of_assembled_train(d, coefficient_field):

@@ -427,6 +427,13 @@ def test_feasible_ranks_are_the_ranks_of_a_generic_tensor(rng, dims):
         assert tt_feasible_ranks(dims, r) == tt_from_dense(a, dims, max_rank=r).ranks
 
 
+@pytest.mark.parametrize("max_rank", [0, -1, 2.5, True, "2"])
+def test_from_dense_max_rank_must_be_a_positive_integer(rng, max_rank):
+    # 0, -1 and True used to give a rank-1 train, and 2.5 rank 2.
+    with pytest.raises(ValueError, match="'max_rank'"):
+        tt_from_dense(rng.standard_normal((2, 2, 2)), (2, 2, 2), max_rank=max_rank)
+
+
 def test_from_dense_roundtrip(rng):
     x = random_tt(rng, (2, 3, 2, 2), (1, 2, 3, 2, 1))
     d = oracle_dense(x)
